@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -481,3 +483,73 @@ class TestValidation:
 
     def test_rmse_helper(self):
         assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
+
+
+def make_problem_2d(n=40, seed=4, mesh=5):
+    """Two linear surfaces mixed along the diagonal of [-1, 1]^2."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, 2))
+    g = np.linspace(-1.0, 1.0, mesh)
+    G = np.array([(a, b) for a in g for b in g])
+
+    def models(Z):
+        return np.column_stack([1.0 + Z[:, 0], 2.0 - Z[:, 1]])
+
+    w = 1.0 / (1.0 + np.exp(-4.0 * (X[:, 0] + X[:, 1])))
+    F = models(X)
+    y = w * F[:, 0] + (1.0 - w) * F[:, 1] + rng.normal(0, 0.05, n)
+    data = Dataset(inputs=X, outputs=y, noise_sd=0.05, seed=seed)
+    return data, PredictionSet(means=F, grid=G, grid_means=models(G))
+
+
+class TestGoldenBytes:
+    """Seeded runs must reproduce recorded bytes exactly.
+
+    The SHA-256 values pin the draw archive and the sigma2 and mixed traces
+    of two fixed-seed runs, so a refactor of the tree or sampler code that
+    changes any RNG call, row order or float sum shows up here.  They were
+    recorded with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (Haswell
+    kernels), so they pin that numpy/BLAS build: another build or CPU kernel
+    may round dot products differently in the last bit and then needs its
+    own values.
+    """
+
+    @staticmethod
+    def digests(data, ps, cfg, tmp_path):
+        draws = fit_bmm(data, ps, cfg)
+        path = tmp_path / "draws.txt"
+        save_draws(draws, path)
+        return tuple(
+            hashlib.sha256(b).hexdigest()
+            for b in (
+                path.read_bytes(),
+                draws.sigma2_trace.tobytes(),
+                draws.mixed_trace.tobytes(),
+            )
+        )
+
+    def test_1d_birth_death(self, tmp_path):
+        data, ps = make_problem()
+        cfg = SamplerConfig(m=4, n_burn=20, n_keep=30, seed=123)
+        assert self.digests(data, ps, cfg, tmp_path) == (
+            "b0ff9213ed84c43ce3511e4dfe6ad6a76dc7bbc4fec35758c3e043292763711e",
+            "1ebf75f972d1a6a67f7f074637bbc8b060eaecb43036b29c57e9e06210323330",
+            "cb36d08180eebbabc0ca432886f137ee82ff3dbeff9cf3d3dc5df680eae79120",
+        )
+
+    def test_2d_midpoints_with_relocation(self, tmp_path):
+        data, ps = make_problem_2d()
+        cfg = SamplerConfig(
+            m=5,
+            n_burn=25,
+            n_keep=25,
+            seed=21,
+            min_leaf_n=3,
+            cutpoint_method="midpoints",
+            cutpoints_per_dim=30,
+        )
+        assert self.digests(data, ps, cfg, tmp_path) == (
+            "404bbdb13f0d9dc1fed1f82423fcde2f29dacf50227dc75232fea24ce45575ad",
+            "40ceb9a71db92b50b008c12b5cf045216ed3b1298ccd70abfefbc33ac0c3e989",
+            "34d6abae9d6106728dc85dd16f1c3da8e5989c559f3c4340cb422900b1d99de8",
+        )
