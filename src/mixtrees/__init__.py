@@ -31,11 +31,9 @@ from .eft import (
 )
 from .trees import (
     CutpointGrid,
-    Node,
     Proposal,
     Tree,
     TreePriorConfig,
-    assign_leaf,
     log_tree_prior,
     propose_birth,
     propose_death,
@@ -62,12 +60,10 @@ from .calibration import (
 )
 from .sampler import (
     Chain,
-    Ensemble,
     MixedSummary,
     PosteriorDraws,
     PredictionSet,
     SamplerConfig,
-    evaluate_weights,
     evaluate_weights_batch,
     fit_bmm,
     load_draws,

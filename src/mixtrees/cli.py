@@ -375,7 +375,7 @@ def _summary_lines(meta: dict, grid_cols, sigma2: np.ndarray) -> list[str]:
 def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=None) -> None:
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
-    names, train_mean, train_var, grid_mean, grid_var, _ = cfg.model_predictions(
+    names, train_mean, train_var, grid_mean, _, _ = cfg.model_predictions(
         data, grid
     )
     scfg = cfg.sampler_config(seed_override)
@@ -386,7 +386,6 @@ def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=Non
         variances=train_var if scfg.informative else None,
         grid=grid,
         grid_means=grid_mean,
-        grid_variances=grid_var,
     )
     if chains <= 1:
         draws = sampler.fit_bmm(data, ps, scfg)

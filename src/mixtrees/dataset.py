@@ -47,6 +47,8 @@ class Dataset:
             raise ValueError("dataset must contain at least one observation")
         if not np.all(np.isfinite(self.inputs)):
             raise ValueError("non-finite input coordinate")
+        if not np.all(np.isfinite(self.outputs)):
+            raise ValueError("non-finite output")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
 
@@ -135,7 +137,7 @@ def read_table(path) -> Dataset:
     """Parse a table written by :func:`write_table`.
 
     Raises :class:`TableFormatError` naming the offending line for malformed
-    rows, inconsistent column counts, or non-numeric cells.
+    rows, inconsistent column counts, or non-numeric or non-finite cells.
     """
     noise_sd = 0.0
     seed = 0
@@ -175,11 +177,14 @@ def read_table(path) -> Dataset:
                     f"line {lineno}: expected {ncol} columns, found {len(cells)}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError:
                 raise TableFormatError(
                     f"line {lineno}: non-numeric cell in {line!r}"
                 ) from None
+            if not np.all(np.isfinite(row)):
+                raise TableFormatError(f"line {lineno}: non-finite cell in {line!r}")
+            rows.append(row)
     if ncol is None or not rows:
         raise TableFormatError("no observations")
     arr = np.array(rows)

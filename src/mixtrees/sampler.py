@@ -53,7 +53,6 @@ class PredictionSet:
     grid: np.ndarray
     grid_means: np.ndarray
     variances: Optional[np.ndarray] = None
-    grid_variances: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
@@ -77,20 +76,6 @@ class PredictionSet:
     @property
     def n_models(self) -> int:
         return self.means.shape[1]
-
-
-@dataclass
-class Ensemble:
-    """Current sampler state: m trees and the error variance."""
-
-    trees: list
-    sigma2: float
-
-    def __post_init__(self):
-        if len(self.trees) < 1:
-            raise ValueError("ensemble needs at least one tree")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
 
 
 @dataclass
@@ -262,13 +247,16 @@ class Chain:
         return False
 
     def _redraw_leaves(self, j: int, resid: np.ndarray) -> None:
-        fit_j = self.fits[j]
-        for leaf, idx in self.trees[j].partition(self.X):
+        tree, fit_j = self.trees[j], self.fits[j]
+        rows = tree.node_rows(self.X)
+        for leaf in tree.leaf_nodes():
+            idx = rows[leaf]
             lp = self.leaf_prior_for(idx)
-            leaf.value = _sample_leaf_raw(
+            value = _sample_leaf_raw(
                 resid[idx], self.F[idx], lp.mean, lp.sd, self.sigma2, self.rng
             )
-            fit_j[idx] = self.F[idx] @ leaf.value
+            tree.values[leaf] = value
+            fit_j[idx] = self.F[idx] @ value
         self.total_fit = self.fits.sum(axis=0)
 
     @property
@@ -300,22 +288,13 @@ class Chain:
         if self.cfg.fixed_sigma2 is None and not hold_sigma2:
             self.sigma2 = sample_sigma2(self.total_sse, self.n, self.noise, self.rng)
 
-    def ensemble(self) -> Ensemble:
-        return Ensemble(trees=self.trees, sigma2=self.sigma2)
-
     def grid_weights(self) -> np.ndarray:
         """Current weight functions evaluated on the prediction grid."""
         return evaluate_weights_batch(self.trees, self.ps.grid)
 
 
-def evaluate_weights(ens, x) -> np.ndarray:
-    """Weight vector at one input: sum of the trees' leaf vectors."""
-    trees = ens.trees if isinstance(ens, Ensemble) else ens
-    return np.sum([t.assign_leaf(x).value for t in trees], axis=0)
-
-
 def evaluate_weights_batch(trees, X) -> np.ndarray:
-    trees = trees.trees if isinstance(trees, Ensemble) else trees
+    """Weight vectors at every row of X: the sum of the trees' leaf vectors."""
     out = trees[0].evaluate(X)
     for t in trees[1:]:
         out = out + t.evaluate(X)
@@ -488,7 +467,6 @@ def save_draws(draws: PosteriorDraws, path) -> None:
 
 def load_draws(path) -> list[tuple[float, list[Tree]]]:
     """Read a draw archive back as (sigma2, trees) pairs for re-prediction."""
-    dummy = CutpointGrid([np.array([])])
     out = []
     with open(path) as fh:
         for line in fh:
@@ -499,7 +477,7 @@ def load_draws(path) -> list[tuple[float, list[Tree]]]:
                 parts = line.split()
                 out.append((float(parts[3]), []))
             elif line.startswith("tree "):
-                out[-1][1].append(Tree.decode(line[5:], dummy))
+                out[-1][1].append(Tree.decode(line[5:]))
             else:
                 raise ValueError(f"bad archive line: {line!r}")
     return out

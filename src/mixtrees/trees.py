@@ -7,12 +7,17 @@ carries a K-vector.  The prior makes a node internal with probability
 still valid under the node's ancestors, which keeps trees shallow.  The
 sampler explores structures with paired birth/death proposals whose forward
 and reverse probabilities are recorded for the acceptance ratio.
+
+A tree is a set of parallel node lists in pre-order.  It keeps, per node,
+the index range of still-valid cutpoints and the training rows that reach
+the node, so a move updates only the nodes and rows below the node it
+changes instead of re-partitioning the data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,10 +46,10 @@ def split_probability(depth: int, cfg: TreePriorConfig) -> float:
 
 
 class CutpointGrid:
-    """Per-dimension candidate cut values."""
+    """Per-dimension candidate cut values, sorted ascending."""
 
     def __init__(self, cuts: list[np.ndarray]):
-        self.cuts = [np.asarray(c, dtype=float) for c in cuts]
+        self.cuts = [np.sort(np.asarray(c, dtype=float)) for c in cuts]
 
     @classmethod
     def from_data(
@@ -80,235 +85,278 @@ class CutpointGrid:
         return len(self.cuts)
 
 
-class Node:
-    """Tree node; a leaf when ``left`` is None, else an internal split."""
+class Leaf(NamedTuple):
+    """A leaf of a :class:`Tree`: its node index and its K-vector."""
 
-    __slots__ = ("var", "cut", "left", "right", "value", "depth")
-
-    def __init__(self, depth=0, var=None, cut=None, left=None, right=None, value=None):
-        self.depth = depth
-        self.var = var
-        self.cut = cut
-        self.left = left
-        self.right = right
-        self.value = value
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def copy(self) -> "Node":
-        n = Node(self.depth, self.var, self.cut)
-        if self.is_leaf:
-            n.value = np.array(self.value)
-        else:
-            n.left = self.left.copy()
-            n.right = self.right.copy()
-        return n
+    node: int
+    value: np.ndarray
 
 
 class Tree:
-    """A decision tree over a fixed cutpoint grid with K-vector leaves."""
+    """A decision tree over a fixed cutpoint grid with K-vector leaves.
 
-    def __init__(self, root: Node, grid: CutpointGrid):
-        self.root = root
+    The nodes are stored in pre-order as parallel lists.  Node 0 is the
+    root.  An internal node ``i`` splits on ``x[var[i]] < cut[i]`` with its
+    left child at ``left[i] == i + 1`` and its right child at ``right[i]``;
+    a leaf has ``var``, ``left`` and ``right`` equal to -1 and a NaN
+    ``cut``.  ``values[i]`` is the K-vector of leaf ``i`` (internal nodes
+    keep a stale one).  With a grid, ``spans[i][v]`` is the half-open index
+    range of ``grid.cuts[v]`` still valid under node ``i``'s ancestors.
+
+    :meth:`node_rows` caches the rows of one X that reach each node; the
+    structure moves keep that cache up to date, re-routing only the rows
+    below the node they change.
+    """
+
+    _NODE_LISTS = (
+        "var", "cut", "left", "right", "depths", "values", "spans", "_rows"
+    )
+
+    def __init__(self, grid, var, cut, left, right, depths, values):
         self.grid = grid
+        self.var, self.cut, self.left, self.right = var, cut, left, right
+        self.depths, self.values = depths, values
+        self.spans = None
+        if grid is not None:
+            self.spans = [tuple((0, c.size) for c in grid.cuts)]
+            self.spans += [None] * (len(var) - 1)
+        self._rows = self._X = None
+        self._refresh(0, len(var))
 
     @classmethod
     def root_only(cls, grid: CutpointGrid, value) -> "Tree":
-        root = Node(depth=0, value=np.asarray(value, dtype=float))
-        return cls(root, grid)
+        value = np.asarray(value, dtype=float)
+        return cls(grid, [-1], [np.nan], [-1], [-1], [0], [value])
 
     def copy(self) -> "Tree":
-        return Tree(self.root.copy(), self.grid)
+        """A tree with its own node lists (leaf vectors and rows are shared)."""
+        new = Tree.__new__(Tree)
+        new.grid, new._X = self.grid, self._X
+        for name in self._NODE_LISTS:
+            lst = getattr(self, name)
+            setattr(new, name, None if lst is None else list(lst))
+        return new
 
     # ---- traversal -----------------------------------------------------
 
-    def leaves(self) -> list[Node]:
-        out = []
+    def leaf_nodes(self) -> list[int]:
+        return [i for i, c in enumerate(self.left) if c < 0]
 
-        def rec(node):
-            if node.is_leaf:
-                out.append(node)
-            else:
-                rec(node.left)
-                rec(node.right)
+    def leaves(self) -> list[Leaf]:
+        return [Leaf(i, self.values[i]) for i in self.leaf_nodes()]
 
-        rec(self.root)
-        return out
+    def internal_nodes(self) -> list[int]:
+        return [i for i, c in enumerate(self.left) if c >= 0]
 
-    def internal_nodes(self) -> list[Node]:
-        out = []
-
-        def rec(node):
-            if not node.is_leaf:
-                out.append(node)
-                rec(node.left)
-                rec(node.right)
-
-        rec(self.root)
-        return out
-
-    def nog_nodes(self) -> list[Node]:
+    def nog_nodes(self) -> list[int]:
         """Internal nodes whose children are both leaves (collapsible)."""
+        left, right = self.left, self.right
         return [
-            n for n in self.internal_nodes() if n.left.is_leaf and n.right.is_leaf
+            i for i, c in enumerate(left)
+            if c >= 0 and left[c] < 0 and left[right[i]] < 0
         ]
 
     def n_leaves(self) -> int:
-        return len(self.leaves())
+        return len(self.leaf_nodes())
 
     def depth(self) -> int:
-        return max(leaf.depth for leaf in self.leaves())
+        return max(self.depths)
 
     # ---- cutpoint bookkeeping -------------------------------------------
 
-    def node_bounds(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Ancestor-implied (lo, hi) interval per dimension for every node."""
-        d = self.grid.dim
-        out = {}
+    def usable_vars(self, i: int) -> list[int]:
+        """Dimensions with at least one cutpoint still valid at node i."""
+        return [v for v, (lo, hi) in enumerate(self.spans[i]) if hi > lo]
 
-        def rec(node, lo, hi):
-            out[id(node)] = (lo, hi)
-            if not node.is_leaf:
-                lo_l, hi_l = lo.copy(), hi.copy()
-                hi_l[node.var] = min(hi_l[node.var], node.cut)
-                rec(node.left, lo_l, hi_l)
-                lo_r, hi_r = lo.copy(), hi.copy()
-                lo_r[node.var] = max(lo_r[node.var], node.cut)
-                rec(node.right, lo_r, hi_r)
+    def n_cuts(self, i: int, v: int) -> int:
+        lo, hi = self.spans[i][v]
+        return max(hi - lo, 0)
 
-        rec(self.root, np.full(d, -np.inf), np.full(d, np.inf))
-        return out
-
-    def valid_cuts(self, node: Node, bounds=None) -> list[np.ndarray]:
-        """Cutpoints per dimension still usable below ``node``'s ancestors."""
-        if bounds is None:
-            bounds = self.node_bounds()
-        lo, hi = bounds[id(node)]
-        return [
-            c[(c > lo[v]) & (c < hi[v])] for v, c in enumerate(self.grid.cuts)
-        ]
-
-    def growable_leaves(self, bounds=None) -> list[Node]:
+    def growable_leaves(self) -> list[int]:
         """Leaves with at least one valid cutpoint in some dimension."""
-        if bounds is None:
-            bounds = self.node_bounds()
-        return [
-            leaf
-            for leaf in self.leaves()
-            if any(c.size for c in self.valid_cuts(leaf, bounds))
-        ]
+        return [i for i in self.leaf_nodes() if self.usable_vars(i)]
+
+    def node_bounds(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Ancestor-implied (lo, hi) value interval per dimension, per node."""
+        d = self.grid.dim
+        bounds = [(np.full(d, -np.inf), np.full(d, np.inf))]
+        bounds += [None] * (len(self.var) - 1)
+        for i in self.internal_nodes():
+            lo, hi = bounds[i]
+            v, c = self.var[i], self.cut[i]
+            hi_l, lo_r = hi.copy(), lo.copy()
+            hi_l[v] = min(hi[v], c)
+            lo_r[v] = max(lo[v], c)
+            bounds[self.left[i]], bounds[self.right[i]] = (lo, hi_l), (lo_r, hi)
+        return bounds
 
     # ---- data assignment -------------------------------------------------
 
-    def assign_leaf(self, x) -> Node:
-        """Descend from the root; left iff x_var < cut, ties to the right."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.var] < node.cut else node.right
-        return node
-
-    def partition(self, X: np.ndarray) -> list[tuple[Node, np.ndarray]]:
-        """Leaves in traversal order with the row indices of X they contain."""
+    def partition(self, X: np.ndarray) -> list[np.ndarray]:
+        """Ascending row indices of X that reach each node, routed from the root."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = []
+        rows = [np.arange(X.shape[0])] + [None] * (len(self.var) - 1)
+        return self._route(X, rows, 0, len(self.var))
 
-        def rec(node, idx):
-            if node.is_leaf:
-                out.append((node, idx))
-            else:
-                mask = X[idx, node.var] < node.cut
-                rec(node.left, idx[mask])
-                rec(node.right, idx[~mask])
+    def node_rows(self, X: np.ndarray) -> list[np.ndarray]:
+        """Rows of X reaching each node, cached for the X last asked about."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self._X is not X:
+            self._rows, self._X = self.partition(X), X
+        return self._rows
 
-        rec(self.root, np.arange(X.shape[0]))
-        return out
+    def _route(self, X, rows, first, stop):
+        # Pre-order: every parent's rows are set before its children's.
+        for i in range(first, stop):
+            c = self.left[i]
+            if c >= 0:
+                idx = rows[i]
+                mask = X[idx, self.var[i]] < self.cut[i]
+                rows[c], rows[self.right[i]] = idx[mask], idx[~mask]
+        return rows
+
+    def _refresh(self, first, stop):
+        """Recompute the spans and cached rows of the children of nodes
+        ``first .. stop - 1``, in pre-order."""
+        if self.spans is not None:
+            for i in range(first, stop):
+                if self.left[i] < 0:
+                    continue
+                v, cuts = self.var[i], self.grid.cuts[self.var[i]]
+                lo, hi = self.spans[i][v]
+                below = int(np.searchsorted(cuts, self.cut[i], "left"))
+                not_above = int(np.searchsorted(cuts, self.cut[i], "right"))
+                left, right = list(self.spans[i]), list(self.spans[i])
+                left[v], right[v] = (lo, min(hi, below)), (max(lo, not_above), hi)
+                self.spans[self.left[i]] = tuple(left)
+                self.spans[self.right[i]] = tuple(right)
+        if self._rows is not None:
+            self._route(self._X, self._rows, first, stop)
+
+    def _subtree_end(self, i: int) -> int:
+        """One past the last node of the subtree rooted at i."""
+        while self.left[i] >= 0:
+            i = self.right[i]
+        return i + 1
+
+    def _node_lists(self) -> list[list]:
+        lists = (getattr(self, name) for name in self._NODE_LISTS)
+        return [lst for lst in lists if lst is not None]
+
+    def _split(self, i: int, var: int, cut: float) -> None:
+        """Turn leaf i into the rule ``x_var < cut`` over two copies of it."""
+        k = i + 1
+        self.left = [c + 2 if c > i else c for c in self.left]
+        self.right = [c + 2 if c > i else c for c in self.right]
+        for lst in self._node_lists():
+            lst[k:k] = [lst[i], lst[i]]
+        self.depths[k] = self.depths[k + 1] = self.depths[i] + 1
+        self.var[i], self.cut[i], self.left[i], self.right[i] = var, cut, k, k + 1
+        self._refresh(i, k)
+
+    def _collapse(self, i: int) -> None:
+        """Turn node i, whose children are leaves, into a leaf."""
+        k = i + 1
+        self.values[i] = 0.5 * (self.values[k] + self.values[k + 1])
+        for lst in self._node_lists():
+            del lst[k : k + 2]
+        self.left = [c - 2 if c > i else c for c in self.left]
+        self.right = [c - 2 if c > i else c for c in self.right]
+        self.var[i], self.cut[i], self.left[i], self.right[i] = -1, np.nan, -1, -1
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        """Leaf vector of every row of X, as an (n, K) array."""
+        """Leaf vector of every row of X, as an (n, K) array.
+
+        All rows descend together, one level per pass: left iff
+        ``x_var < cut``, ties to the right.  A leaf's NaN cut sends its
+        rows "right", to itself.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        k = len(self.root.value) if self.root.is_leaf else len(
-            self.leaves()[0].value
-        )
-        out = np.empty((X.shape[0], k))
-        for leaf, idx in self.partition(X):
-            out[idx] = leaf.value
-        return out
+        n, d = X.shape
+        node = np.zeros(n, dtype=np.intp)
+        if len(self.var) > 1:
+            left = np.array(self.left)
+            right = np.where(left < 0, np.arange(left.size), self.right)
+            var, cut = np.maximum(self.var, 0), np.array(self.cut)
+            flat, row_start = X.ravel(), np.arange(0, n * d, d)
+            for _ in range(self.depth()):
+                go_left = flat.take(row_start + var.take(node)) < cut.take(node)
+                node = np.where(go_left, left.take(node), right.take(node))
+        return np.array(self.values).take(node, axis=0)
 
     # ---- serialization -----------------------------------------------------
 
     def encode(self) -> str:
         """Deterministic pre-order text encoding of the tree."""
         parts = []
-
-        def rec(node):
-            if node.is_leaf:
-                vals = " ".join(f"{v:.17g}" for v in node.value)
-                parts.append(f"L {len(node.value)} {vals}")
+        for i, c in enumerate(self.left):
+            if c < 0:
+                value = self.values[i]
+                vals = " ".join(f"{v:.17g}" for v in value)
+                parts.append(f"L {len(value)} {vals}")
             else:
-                parts.append(f"I {node.var} {node.cut:.17g}")
-                rec(node.left)
-                rec(node.right)
-
-        rec(self.root)
+                parts.append(f"I {self.var[i]} {self.cut[i]:.17g}")
         return " ".join(parts)
 
     @classmethod
-    def decode(cls, text: str, grid: CutpointGrid) -> "Tree":
+    def decode(cls, text: str, grid: Optional[CutpointGrid] = None) -> "Tree":
+        """Inverse of :meth:`encode`; without a grid the tree only evaluates."""
         tokens = text.split()
+        var, cut, left, right, depths, values = [], [], [], [], [], []
+        waiting = []  # internal nodes whose right child is still to come
         pos = 0
-
-        def rec(depth):
-            nonlocal pos
+        while pos < len(tokens):
+            i = len(var)
+            if i == 0:
+                depth = 0
+            elif left[i - 1] == i:  # left child of the node before it
+                depth = depths[i - 1] + 1
+            elif waiting:
+                parent = waiting.pop()
+                right[parent] = i
+                depth = depths[parent] + 1
+            else:
+                raise ValueError("trailing tokens in tree encoding")
             tag = tokens[pos]
-            pos += 1
-            if tag == "L":
-                k = int(tokens[pos])
-                pos += 1
-                value = np.array([float(t) for t in tokens[pos : pos + k]])
-                pos += k
-                return Node(depth=depth, value=value)
-            if tag != "I":
-                raise ValueError(f"bad tree encoding near token {pos}: {tag!r}")
-            var = int(tokens[pos])
-            cut = float(tokens[pos + 1])
-            pos += 2
-            node = Node(depth=depth, var=var, cut=cut)
-            node.left = rec(depth + 1)
-            node.right = rec(depth + 1)
-            return node
-
-        root = rec(0)
-        if pos != len(tokens):
-            raise ValueError("trailing tokens in tree encoding")
-        return cls(root, grid)
-
-
-def assign_leaf(tree: Tree, x) -> Node:
-    return tree.assign_leaf(x)
+            if tag == "L" and pos + 1 < len(tokens):
+                stop = pos + 2 + int(tokens[pos + 1])
+                values.append(np.array([float(t) for t in tokens[pos + 2 : stop]]))
+                var.append(-1)
+                cut.append(np.nan)
+                left.append(-1)
+            elif tag == "I" and pos + 2 < len(tokens):
+                stop = pos + 3
+                values.append(None)
+                var.append(int(tokens[pos + 1]))
+                cut.append(float(tokens[pos + 2]))
+                left.append(i + 1)
+                waiting.append(i)
+            elif tag in ("L", "I"):
+                break
+            else:
+                raise ValueError(f"bad tree encoding near token {pos + 1}: {tag!r}")
+            right.append(-1)
+            depths.append(depth)
+            pos = stop
+        if pos != len(tokens) or waiting or not var:
+            raise ValueError("truncated tree encoding")
+        for i in reversed(range(len(var))):
+            if values[i] is None:
+                values[i] = values[i + 1]  # stale, like any internal node's
+        return cls(grid, var, cut, left, right, depths, values)
 
 
 def log_tree_prior(tree: Tree, cfg: TreePriorConfig) -> float:
     """Log prior of a tree: node-type terms plus uniform rule probabilities."""
-    bounds = tree.node_bounds()
     total = 0.0
-
-    def rec(node):
-        nonlocal total
-        p = split_probability(node.depth, cfg)
-        if node.is_leaf:
+    for i, depth in enumerate(tree.depths):
+        p = split_probability(depth, cfg)
+        if tree.left[i] < 0:
             total += np.log1p(-p)
         else:
-            cuts = tree.valid_cuts(node, bounds)
-            n_vars = sum(1 for c in cuts if c.size)
-            n_cuts = cuts[node.var].size
+            n_vars = len(tree.usable_vars(i))
+            n_cuts = tree.n_cuts(i, tree.var[i])
             total += np.log(p) - np.log(n_vars) - np.log(n_cuts)
-            rec(node.left)
-            rec(node.right)
-
-    rec(tree.root)
     return float(total)
 
 
@@ -338,6 +386,13 @@ def _birth_prior_terms(depth: int, n_vars: int, n_cuts: int, cfg) -> float:
     )
 
 
+def _draw_rule(tree: Tree, i: int, usable_vars, rng):
+    """Uniform variable, then uniform valid cut of it, at node i."""
+    var = usable_vars[rng.integers(len(usable_vars))]
+    lo, hi = tree.spans[i][var]
+    return var, float(tree.grid.cuts[var][lo + rng.integers(hi - lo)]), hi - lo
+
+
 def propose_birth(
     tree: Tree, X: np.ndarray, cfg: TreePriorConfig, rng: np.random.Generator
 ) -> Proposal:
@@ -347,36 +402,27 @@ def propose_birth(
     child would receive fewer than ``min_leaf_n`` training points.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    new = tree.copy()
-    bounds = new.node_bounds()
-    growable = new.growable_leaves(bounds)
+    growable = tree.growable_leaves()
     if not growable:
         return Proposal("birth", valid=False)
     leaf = growable[rng.integers(len(growable))]
-    cuts = new.valid_cuts(leaf, bounds)
-    usable_vars = [v for v, c in enumerate(cuts) if c.size]
-    var = usable_vars[rng.integers(len(usable_vars))]
-    cut = float(cuts[var][rng.integers(cuts[var].size)])
+    usable_vars = tree.usable_vars(leaf)
+    var, cut, n_cuts = _draw_rule(tree, leaf, usable_vars, rng)
 
-    members = dict((id(node), idx) for node, idx in new.partition(X))
-    idx = members[id(leaf)]
+    idx = tree.node_rows(X)[leaf]
     mask = X[idx, var] < cut
     idx_left, idx_right = idx[mask], idx[~mask]
     if min(idx_left.size, idx_right.size) < cfg.min_leaf_n:
         return Proposal("birth", valid=False)
 
     log_forward = -(
-        np.log(len(growable)) + np.log(len(usable_vars)) + np.log(cuts[var].size)
+        np.log(len(growable)) + np.log(len(usable_vars)) + np.log(n_cuts)
     )
     log_prior_ratio = _birth_prior_terms(
-        leaf.depth, len(usable_vars), cuts[var].size, cfg
+        tree.depths[leaf], len(usable_vars), n_cuts, cfg
     )
-
-    leaf.var, leaf.cut = var, cut
-    leaf.left = Node(depth=leaf.depth + 1, value=np.array(leaf.value))
-    leaf.right = Node(depth=leaf.depth + 1, value=np.array(leaf.value))
-    leaf.value = None
-
+    new = tree.copy()
+    new._split(leaf, var, cut)
     log_reverse = -np.log(len(new.nog_nodes()))
     return Proposal(
         "birth",
@@ -395,31 +441,22 @@ def propose_death(
 ) -> Proposal:
     """Collapse a uniformly chosen internal node whose children are leaves."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    new = tree.copy()
-    nogs = new.nog_nodes()
+    nogs = tree.nog_nodes()
     if not nogs:
         return Proposal("death", valid=False)
     node = nogs[rng.integers(len(nogs))]
     log_forward = -np.log(len(nogs))
 
-    members = dict((id(n), idx) for n, idx in new.partition(X))
-    idx_left = members[id(node.left)]
-    idx_right = members[id(node.right)]
-    idx_union = np.sort(np.concatenate([idx_left, idx_right]))
-
-    var, cut = node.var, node.cut
-    node.value = 0.5 * (node.left.value + node.right.value)
-    node.var = node.cut = node.left = node.right = None
-
-    bounds = new.node_bounds()
-    cuts = new.valid_cuts(node, bounds)
-    usable_vars = sum(1 for c in cuts if c.size)
+    rows = tree.node_rows(X)
+    var = tree.var[node]
+    new = tree.copy()
+    new._collapse(node)
+    usable_vars = len(new.usable_vars(node))
+    n_cuts = new.n_cuts(node, var)
     log_reverse = -(
-        np.log(len(new.growable_leaves(bounds)))
-        + np.log(usable_vars)
-        + np.log(cuts[var].size)
+        np.log(len(new.growable_leaves())) + np.log(usable_vars) + np.log(n_cuts)
     )
-    log_prior_ratio = -_birth_prior_terms(node.depth, usable_vars, cuts[var].size, cfg)
+    log_prior_ratio = -_birth_prior_terms(new.depths[node], usable_vars, n_cuts, cfg)
     return Proposal(
         "death",
         valid=True,
@@ -427,8 +464,8 @@ def propose_death(
         log_forward=float(log_forward),
         log_reverse=float(log_reverse),
         log_prior_ratio=float(log_prior_ratio),
-        old_leaf_sets=[idx_left, idx_right],
-        new_leaf_sets=[idx_union],
+        old_leaf_sets=[rows[node + 1], rows[node + 2]],
+        new_leaf_sets=[rows[node]],
     )
 
 
@@ -443,27 +480,25 @@ def propose_rule_change(
     descendants' rule sets) and the likelihood enter the acceptance ratio.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    new = tree.copy()
-    internals = new.internal_nodes()
+    internals = tree.internal_nodes()
     if not internals:
         return Proposal("change", valid=False)
     node = internals[rng.integers(len(internals))]
-    bounds = new.node_bounds()
-    cuts = new.valid_cuts(node, bounds)
-    usable_vars = [v for v, c in enumerate(cuts) if c.size]
-    var = usable_vars[rng.integers(len(usable_vars))]
-    cut = float(cuts[var][rng.integers(cuts[var].size)])
+    var, cut, _ = _draw_rule(tree, node, tree.usable_vars(node), rng)
 
-    old_sets = [idx for leaf, idx in new.partition(X)]
-    node.var, node.cut = var, cut
-    new_sets = [idx for leaf, idx in new.partition(X)]
+    rows = tree.node_rows(X)
+    old_sets = [rows[i] for i in tree.leaf_nodes()]
+    new = tree.copy()
+    new.var[node], new.cut[node] = var, cut
+    new._refresh(node, new._subtree_end(node))
+    new_sets = [new._rows[i] for i in new.leaf_nodes()]
     if any(idx.size < cfg.min_leaf_n for idx in new_sets):
         return Proposal("change", valid=False)
     # Descendant rules must stay usable under the new ancestor interval.
-    new_bounds = new.node_bounds()
-    for inner in new.internal_nodes():
-        lo, hi = new_bounds[id(inner)]
-        if not lo[inner.var] < inner.cut < hi[inner.var]:
+    bounds = new.node_bounds()
+    for i in new.internal_nodes():
+        lo, hi = bounds[i]
+        if not lo[new.var[i]] < new.cut[i] < hi[new.var[i]]:
             return Proposal("change", valid=False)
     log_prior_ratio = log_tree_prior(new, cfg) - log_tree_prior(tree, cfg)
     return Proposal(
@@ -483,28 +518,13 @@ def sample_tree_from_prior(
 ) -> Tree:
     """Draw a tree structure from the generative prior (zero leaf vectors)."""
     tree = Tree.root_only(grid, np.zeros(k))
-
-    def rec(node, lo, hi):
-        cuts = [
-            c[(c > lo[v]) & (c < hi[v])] for v, c in enumerate(grid.cuts)
-        ]
-        usable = [v for v, c in enumerate(cuts) if c.size]
-        if not usable:
-            return
-        if rng.random() >= split_probability(node.depth, cfg):
-            return
-        var = usable[rng.integers(len(usable))]
-        cut = float(cuts[var][rng.integers(cuts[var].size)])
-        node.var, node.cut, node.value = var, cut, None
-        node.left = Node(depth=node.depth + 1, value=np.zeros(k))
-        node.right = Node(depth=node.depth + 1, value=np.zeros(k))
-        hi_l = hi.copy()
-        hi_l[var] = min(hi_l[var], cut)
-        rec(node.left, lo.copy(), hi_l)
-        lo_r = lo.copy()
-        lo_r[var] = max(lo_r[var], cut)
-        rec(node.right, lo_r, hi.copy())
-
-    d = grid.dim
-    rec(tree.root, np.full(d, -np.inf), np.full(d, np.inf))
+    # A split inserts its children right after the node, so walking the
+    # lists in order visits the nodes in pre-order as they are created.
+    i = 0
+    while i < len(tree.var):
+        usable = tree.usable_vars(i)
+        if usable and rng.random() < split_probability(tree.depths[i], cfg):
+            var, cut, _ = _draw_rule(tree, i, usable, rng)
+            tree._split(i, var, cut)
+        i += 1
     return tree

@@ -256,15 +256,13 @@ class TestCriterion6McmcExactness:
         tcfg = chain.tree_cfg
 
         def state_log_post(cut):
-            from mixtrees.trees import Node, Tree
+            from mixtrees.trees import Tree
 
-            tree = Tree.root_only(chain.grid, lp.mean)
             if cut is None:
+                tree = Tree.decode("L 1 0", chain.grid)
                 sets = [np.array([0, 1])]
             else:
-                tree.root.var, tree.root.cut, tree.root.value = 0, cut, None
-                tree.root.left = Node(depth=1, value=np.array(lp.mean))
-                tree.root.right = Node(depth=1, value=np.array(lp.mean))
+                tree = Tree.decode(f"I 0 {cut:.17g} L 1 0 L 1 0", chain.grid)
                 sets = [np.array([0]), np.array([1])]
             log_ml = sum(
                 log_marginal_likelihood(NodeData(y[idx], F[idx]), lp, sigma2)
@@ -282,10 +280,10 @@ class TestCriterion6McmcExactness:
         counts = np.zeros(3)
         for _ in range(n_sweeps):
             chain.gibbs_sweep()
-            root = chain.trees[0].root
-            if root.is_leaf:
+            tree = chain.trees[0]
+            if tree.left[0] < 0:
                 counts[0] += 1
-            elif root.cut == cuts[0]:
+            elif tree.cut[0] == cuts[0]:
                 counts[1] += 1
             else:
                 counts[2] += 1

@@ -236,6 +236,21 @@ class TestMix:
         cfg.write_text(cfg_text)
         assert main(["mix", "--config", str(cfg), "--out", str(out)]) == 0
 
+    def test_non_finite_output_in_table_is_numeric_failure(self, tmp_path, capsys):
+        data_file = tmp_path / "nan.csv"
+        data_file.write_text("x1,y\n0.1,1.0\n0.2,nan\n")
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(
+            MINI_CONFIG.replace(
+                "[dataset]\nsystem = phi4",
+                f"[dataset]\nfile = {data_file}\nsystem = phi4",
+            )
+        )
+        out = tmp_path / "runs"
+        assert main(["mix", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "line 3" in capsys.readouterr().err
+        assert not (out / "mini" / "mix_grid.csv").exists()
+
 
 class TestBma:
     def test_writes_weights_and_curve(self, mini_cfg, tmp_path):

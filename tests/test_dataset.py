@@ -140,6 +140,12 @@ class TestTableRoundTrip:
         with pytest.raises(TableFormatError, match="line 2"):
             read_table(path)
 
+    def test_non_finite_output_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y\n0.1,1.0\n0.2,nan\n")
+        with pytest.raises(TableFormatError, match="line 3"):
+            read_table(path)
+
     def test_empty_file_reports_no_observations(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -165,3 +171,8 @@ class TestDatasetInvariants:
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError):
             Dataset(inputs=[np.nan], outputs=[1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_output_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite output"):
+            Dataset(inputs=[0.1, 0.2], outputs=[1.0, bad])

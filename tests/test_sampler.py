@@ -7,11 +7,9 @@ from mixtrees.dataset import Dataset
 from mixtrees.node_model import NodeData, leaf_posterior, log_marginal_likelihood
 from mixtrees.sampler import (
     Chain,
-    Ensemble,
     PosteriorDraws,
     PredictionSet,
     SamplerConfig,
-    evaluate_weights,
     evaluate_weights_batch,
     fit_bmm,
     load_draws,
@@ -20,7 +18,7 @@ from mixtrees.sampler import (
     rmse,
     save_draws,
 )
-from mixtrees.trees import CutpointGrid, Node, Tree, log_tree_prior
+from mixtrees.trees import CutpointGrid, Tree, log_tree_prior
 
 
 def make_problem(n=12, k=2, seed=0, n_grid=15):
@@ -53,7 +51,7 @@ class TestTreeResiduals:
         data, ps = make_problem()
         cfg = SamplerConfig(m=1, n_burn=1, n_keep=1, structure_moves=False)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
-        chain.trees[0].root.value = np.zeros(2)
+        chain.trees[0].values[0] = np.zeros(2)
         chain.fits[0] = 0.0
         chain.total_fit = chain.fits.sum(axis=0)
         np.testing.assert_array_equal(chain.tree_residuals(0), data.outputs)
@@ -63,7 +61,7 @@ class TestTreeResiduals:
         cfg = SamplerConfig(m=3, n_burn=1, n_keep=1)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         for t in chain.trees:
-            t.root.value = np.zeros(2)
+            t.values[0] = np.zeros(2)
         chain.fits[:] = 0.0
         chain.total_fit = chain.fits.sum(axis=0)
         np.testing.assert_array_equal(chain.tree_residuals(1), data.outputs)
@@ -74,7 +72,7 @@ class TestTreeResiduals:
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         rng = np.random.default_rng(17)
         for t in chain.trees:
-            t.root.value = rng.normal(size=2)
+            t.values[0] = rng.normal(size=2)
         chain.fits = np.stack(
             [
                 np.einsum("nk,nk->n", chain.F, t.evaluate(chain.X))
@@ -144,7 +142,7 @@ class TestMhBookkeeping:
         hand_prior = log_tree_prior(new_tree, chain.tree_cfg) - log_tree_prior(
             old_tree, chain.tree_cfg
         )
-        n_cuts = old_tree.valid_cuts(old_tree.root)[0].size
+        n_cuts = old_tree.n_cuts(0, 0)
         hand_forward = np.log(1.0 / n_cuts)
         hand_reverse = np.log(1.0)  # one collapsible node after birth
         got = (
@@ -172,7 +170,7 @@ class TestMhBookkeeping:
         # 4 points can never split into two sides of >= 3.
         accepted = [chain.mh_tree_update(0) for _ in range(100)]
         assert not any(accepted)
-        assert chain.trees[0].root.is_leaf
+        assert chain.trees[0].n_leaves() == 1
 
 
 class TestGibbsSweep:
@@ -187,7 +185,7 @@ class TestGibbsSweep:
 
     def test_sse_cache_matches_recomputation(self):
         # Cache coherence: the SSE the sigma2 draw uses must equal the SSE
-        # recomputed from scratch with evaluate_weights at every sweep.
+        # recomputed from scratch with evaluate_weights_batch at every sweep.
         data, ps = make_problem()
         cfg = SamplerConfig(m=3, n_burn=10, n_keep=20, seed=1)
         worst = 0.0
@@ -222,7 +220,7 @@ class TestGibbsSweep:
         for s in range(cfg.n_burn + cfg.n_keep):
             chain.gibbs_sweep()
             if s >= cfg.n_burn:
-                draws[s - cfg.n_burn] = chain.trees[0].root.value
+                draws[s - cfg.n_burn] = chain.trees[0].values[0]
         nd = NodeData(residuals=data.outputs, design=ps.means)
         mean, cov = leaf_posterior(nd, chain.base_prior, sigma2)
         mc_se = np.sqrt(np.diag(cov) / cfg.n_keep)
@@ -242,7 +240,7 @@ class TestGibbsSweep:
         mu_chain, s2_chain = [], []
         for _ in range(25):
             chain.gibbs_sweep()
-            mu_chain.append(chain.trees[0].root.value.copy())
+            mu_chain.append(chain.trees[0].values[0].copy())
             s2_chain.append(chain.sigma2)
 
         from mixtrees.calibration import pilot_sigma2
@@ -334,42 +332,41 @@ class TestEvaluateWeights:
     def test_root_trees_sum_to_m_beta(self):
         grid = CutpointGrid([np.linspace(0.1, 0.9, 9)])
         trees = [root_tree(grid, [0.05, 0.02]) for _ in range(10)]
-        w = evaluate_weights(trees, [0.4])
+        w = evaluate_weights_batch(trees, [[0.4]])[0]
         np.testing.assert_allclose(w, [0.5, 0.2])
 
     def test_single_tree_leaf_lookup(self):
         grid = CutpointGrid([np.linspace(0.1, 0.9, 9)])
-        tree = root_tree(grid, [0.0])
-        tree.root.var, tree.root.cut, tree.root.value = 0, 0.5, None
-        tree.root.left = Node(depth=1, value=np.array([1.0]))
-        tree.root.right = Node(depth=1, value=np.array([2.0]))
-        assert evaluate_weights([tree], [0.3])[0] == 1.0
-        assert evaluate_weights([tree], [0.7])[0] == 2.0
+        tree = Tree.decode("I 0 0.5 L 1 1 L 1 2", grid)
+        assert tree.evaluate([[0.3]])[0, 0] == 1.0
+        assert tree.evaluate([[0.7]])[0, 0] == 2.0
 
     def test_five_tree_ensemble_bruteforce(self):
         rng = np.random.default_rng(6)
         grid = CutpointGrid([np.linspace(0.1, 0.9, 9)])
         from mixtrees.trees import TreePriorConfig, sample_tree_from_prior
 
+        def descend(tree, x):
+            i = 0
+            while tree.left[i] >= 0:
+                go_left = x[tree.var[i]] < tree.cut[i]
+                i = tree.left[i] if go_left else tree.right[i]
+            return tree.values[i]
+
         cfg = TreePriorConfig()
         trees = []
         for i in range(5):
             t = sample_tree_from_prior(grid, cfg, np.random.default_rng(i), k=2)
-            for leaf in t.leaves():
-                leaf.value = rng.normal(size=2)
+            for leaf in t.leaf_nodes():
+                t.values[leaf] = rng.normal(size=2)
             trees.append(t)
         X = rng.uniform(0, 1, size=(50, 1))
         batch = evaluate_weights_batch(trees, X)
         for i, x in enumerate(X):
             brute = np.zeros(2)
             for t in trees:
-                brute += t.assign_leaf(x).value
+                brute += descend(t, x)
             np.testing.assert_allclose(batch[i], brute, rtol=1e-12)
-
-    def test_ensemble_type_accepted(self):
-        grid = CutpointGrid([np.linspace(0.1, 0.9, 9)])
-        ens = Ensemble(trees=[root_tree(grid, [0.3])], sigma2=1.0)
-        assert evaluate_weights(ens, [0.5])[0] == 0.3
 
 
 class TestPredictMixed:

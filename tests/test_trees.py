@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixtrees.trees import (
     CutpointGrid,
-    Node,
     Tree,
     TreePriorConfig,
     log_tree_prior,
     propose_birth,
     propose_death,
+    propose_rule_change,
     sample_tree_from_prior,
     split_probability,
 )
@@ -27,14 +29,12 @@ def grid1d():
 
 def build_depth2_tree(grid):
     """Root splits at x < 0.5; left child splits again at x < 0.25."""
-    tree = Tree.root_only(grid, np.array([0.0]))
-    root = tree.root
-    root.var, root.cut, root.value = 0, 0.5, None
-    root.left = Node(depth=1, var=0, cut=0.25)
-    root.left.left = Node(depth=2, value=np.array([1.0]))
-    root.left.right = Node(depth=2, value=np.array([2.0]))
-    root.right = Node(depth=1, value=np.array([3.0]))
-    return tree
+    return Tree.decode("I 0 0.5 I 0 0.25 L 1 1 L 1 2 L 1 3", grid)
+
+
+def lookup(tree, x):
+    """The leaf value of one input, through a one-row evaluate."""
+    return tree.evaluate([[x]])[0, 0]
 
 
 class TestSplitProbability:
@@ -53,24 +53,21 @@ class TestAssignLeaf:
     def test_root_only_tree_returns_root(self, grid1d):
         tree = Tree.root_only(grid1d, np.array([7.0]))
         for x in (-10.0, 0.2, 99.0):
-            assert tree.assign_leaf([x]) is tree.root
+            assert lookup(tree, x) == 7.0
 
     def test_tie_goes_right(self, grid1d):
-        tree = Tree.root_only(grid1d, np.array([0.0]))
-        tree.root.var, tree.root.cut, tree.root.value = 0, 0.5, None
-        tree.root.left = Node(depth=1, value=np.array([-1.0]))
-        tree.root.right = Node(depth=1, value=np.array([1.0]))
-        assert tree.assign_leaf([0.5]) is tree.root.right
-        assert tree.assign_leaf([0.4999]) is tree.root.left
+        tree = Tree.decode("I 0 0.5 L 1 -1 L 1 1", grid1d)
+        assert lookup(tree, 0.5) == 1.0
+        assert lookup(tree, 0.4999) == -1.0
 
     def test_depth2_manual_trace(self, grid1d):
         tree = build_depth2_tree(grid1d)
         # x=0.1: left at 0.5, left at 0.25 -> leaf value 1
-        assert tree.assign_leaf([0.1]).value[0] == 1.0
+        assert lookup(tree, 0.1) == 1.0
         # x=0.3: left at 0.5, right at 0.25 -> leaf value 2
-        assert tree.assign_leaf([0.3]).value[0] == 2.0
+        assert lookup(tree, 0.3) == 2.0
         # x=0.9: right at root -> leaf value 3
-        assert tree.assign_leaf([0.9]).value[0] == 3.0
+        assert lookup(tree, 0.9) == 3.0
 
     def test_every_point_lands_in_exactly_one_leaf(self, grid1d, cfg):
         rng = np.random.default_rng(5)
@@ -78,15 +75,17 @@ class TestAssignLeaf:
         for seed in range(5):
             tree = sample_tree_from_prior(grid1d, cfg, np.random.default_rng(seed))
             counts = np.zeros(X.shape[0], dtype=int)
-            for _, idx in tree.partition(X):
-                counts[idx] += 1
+            rows = tree.partition(X)
+            for leaf in tree.leaf_nodes():
+                counts[rows[leaf]] += 1
             assert np.all(counts == 1)
 
     def test_evaluate_matches_assign(self, grid1d):
         tree = build_depth2_tree(grid1d)
         X = np.random.default_rng(0).uniform(0, 1, size=(100, 1))
         vals = tree.evaluate(X)
-        expected = np.array([tree.assign_leaf(x).value for x in X])
+        x = X[:, 0]
+        expected = np.where(x < 0.25, 1.0, np.where(x < 0.5, 2.0, 3.0))[:, None]
         assert np.array_equal(vals, expected)
 
 
@@ -96,10 +95,7 @@ class TestLogTreePrior:
         assert log_tree_prior(tree, cfg) == pytest.approx(np.log(1 - 0.95))
 
     def test_single_split(self, grid1d, cfg):
-        tree = Tree.root_only(grid1d, np.array([0.0]))
-        tree.root.var, tree.root.cut, tree.root.value = 0, grid1d.cuts[0][49], None
-        tree.root.left = Node(depth=1, value=np.array([0.0]))
-        tree.root.right = Node(depth=1, value=np.array([0.0]))
+        tree = Tree.decode(f"I 0 {grid1d.cuts[0][49]:.17g} L 1 0 L 1 0", grid1d)
         expect = (
             np.log(0.95)
             + 2 * np.log(1 - 0.95 / 4)
@@ -177,7 +173,6 @@ class TestProposals:
         prop = propose_birth(tree, X, cfg, np.random.default_rng(1))
         dead = propose_death(prop.tree, X, cfg, np.random.default_rng(2))
         assert dead.valid
-        assert dead.tree.root.is_leaf
         assert dead.tree.n_leaves() == 1
 
     def test_birth_death_probabilities_are_symmetric(self, grid1d, cfg):
@@ -201,7 +196,7 @@ class TestProposals:
         base = Tree.root_only(grid1d, np.array([4.2]))
         birth = propose_birth(base, X, cfg, rng)
         death = propose_death(birth.tree, X, cfg, rng)
-        assert death.tree.root.is_leaf
+        assert death.tree.n_leaves() == 1
         # membership restored
         assert np.array_equal(death.new_leaf_sets[0], np.arange(50))
 
@@ -229,14 +224,24 @@ class TestSerialization:
         X = np.random.default_rng(1).uniform(0, 1, size=(50, 1))
         assert np.array_equal(back.evaluate(X), tree.evaluate(X))
 
+    def test_leaves_pair_nodes_with_values(self, grid1d):
+        tree = build_depth2_tree(grid1d)
+        assert [leaf.node for leaf in tree.leaves()] == [2, 3, 4]
+        assert [leaf.value[0] for leaf in tree.leaves()] == [1.0, 2.0, 3.0]
+
     def test_vector_leaves_round_trip(self, grid1d):
         tree = Tree.root_only(grid1d, np.array([0.25, -1.5]))
         back = Tree.decode(tree.encode(), grid1d)
-        assert np.array_equal(back.root.value, tree.root.value)
+        assert np.array_equal(back.values[0], tree.values[0])
 
     def test_bad_encoding_rejected(self, grid1d):
         with pytest.raises(ValueError):
             Tree.decode("X 1 2", grid1d)
+
+    @pytest.mark.parametrize("text", ["", "I 0 0.5 L 1 2", "L 2 1", "I 0"])
+    def test_truncated_encoding_rejected(self, grid1d, text):
+        with pytest.raises(ValueError, match="truncated"):
+            Tree.decode(text, grid1d)
 
 
 class TestCutpointGrid:
@@ -251,3 +256,88 @@ class TestCutpointGrid:
         X = np.random.default_rng(0).uniform(size=(30, 3))
         grid = CutpointGrid.from_data(X, 10)
         assert grid.dim == 3
+
+
+def route_from_scratch(tree, X):
+    """Leaf of every row by the recursive mask-and-split routing."""
+    leaf_of = np.full(X.shape[0], -1)
+
+    def rec(i, idx):
+        if tree.left[i] < 0:
+            leaf_of[idx] = i
+        else:
+            mask = X[idx, tree.var[i]] < tree.cut[i]
+            rec(tree.left[i], idx[mask])
+            rec(tree.right[i], idx[~mask])
+
+    rec(0, np.arange(X.shape[0]))
+    return leaf_of
+
+
+def filtered_cuts(tree):
+    """Per node and dimension, the cuts strictly inside the ancestor bounds."""
+    out = {}
+    d = tree.grid.dim
+
+    def rec(i, lo, hi):
+        out[i] = [c[(c > lo[v]) & (c < hi[v])] for v, c in enumerate(tree.grid.cuts)]
+        if tree.left[i] >= 0:
+            v, cut = tree.var[i], tree.cut[i]
+            hi_l = hi.copy()
+            hi_l[v] = min(hi_l[v], cut)
+            rec(tree.left[i], lo.copy(), hi_l)
+            lo_r = lo.copy()
+            lo_r[v] = max(lo_r[v], cut)
+            rec(tree.right[i], lo_r, hi.copy())
+
+    rec(0, np.full(d, -np.inf), np.full(d, np.inf))
+    return out
+
+
+class TestCachedRowsAndSpans:
+    """Moves update the cached rows and cut spans in place; both must equal
+    what a from-scratch recursive routing and cut filter give."""
+
+    @staticmethod
+    def check(tree, X):
+        rows = tree.node_rows(X)
+        leaf_of = np.full(X.shape[0], -1)
+        for leaf in tree.leaf_nodes():
+            assert np.all(np.diff(rows[leaf]) > 0)
+            leaf_of[rows[leaf]] = leaf
+        np.testing.assert_array_equal(leaf_of, route_from_scratch(tree, X))
+        expected = filtered_cuts(tree)
+        for i, span in enumerate(tree.spans):
+            for v, (lo, hi) in enumerate(span):
+                got = tree.grid.cuts[v][lo:hi]
+                np.testing.assert_array_equal(got, expected[i][v])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        d=st.sampled_from([1, 2]),
+        ties=st.booleans(),
+        method=st.sampled_from(["uniform", "midpoints"]),
+        n_cuts=st.integers(1, 12),
+        min_leaf_n=st.integers(1, 3),
+        steps=st.integers(1, 40),
+    )
+    def test_random_accepted_moves(
+        self, seed, n, d, ties, method, n_cuts, min_leaf_n, steps
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, d))
+        if ties:
+            X = np.round(4 * X) / 4
+        grid = CutpointGrid.from_data(X, n_cuts, method)
+        cfg = TreePriorConfig(min_leaf_n=min_leaf_n)
+        tree = Tree.root_only(grid, np.zeros(1))
+        self.check(tree, X)
+        moves = (propose_birth, propose_birth, propose_death, propose_rule_change)
+        for _ in range(steps):
+            prop = moves[rng.integers(len(moves))](tree, X, cfg, rng)
+            self.check(tree, X)
+            if prop.valid:
+                tree = prop.tree
+                self.check(tree, X)
