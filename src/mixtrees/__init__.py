@@ -25,7 +25,6 @@ from .eft import (
     strong_expansion,
     taylor_surface_simulator,
     truncation_cov,
-    truncation_mean,
     weak_coefficients,
     weak_expansion,
 )
@@ -50,7 +49,6 @@ from .node_model import (
     sample_sigma2,
 )
 from .calibration import (
-    MixPriorConfig,
     calibrate_sigma2_prior,
     informative_leaf_mean,
     informative_tau,

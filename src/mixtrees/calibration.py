@@ -10,33 +10,12 @@ variance prior scale is backed out from the best per-model squared errors.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .node_model import LeafPrior
 
 SIGMA2_FLOOR = 1e-6
-
-
-@dataclass
-class MixPriorConfig:
-    """Hyperparameters controlling the weight and variance priors."""
-
-    m: int = 10
-    k: float = 2.0
-    informative: bool = False
-    nu: float = 10.0
-    lam: Optional[float] = None
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least one tree")
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
 
 
 def noninformative_leaf_prior(m: int, k: float, n_models: int) -> LeafPrior:

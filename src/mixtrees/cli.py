@@ -215,26 +215,28 @@ class ExperimentConfig:
 
     def sampler_config(self, seed_override=None) -> sampler.SamplerConfig:
         lam_raw = self._get("sampler", "lambda", str, "auto")
-        lam = None if lam_raw.strip().lower() == "auto" else float(lam_raw)
-        return sampler.SamplerConfig(
-            m=self._get("sampler", "trees", int, 10),
-            k=self._get("sampler", "k", float, 2.0),
-            informative=self._get("sampler", "informative", _parse_bool, False),
-            nu=self._get("sampler", "nu", float, 10.0),
-            lam=lam,
-            lam_match=self._get("sampler", "lambda_match", str, "mode"),
-            n_burn=self._get("sampler", "n_burn", int, 2000),
-            n_keep=self._get("sampler", "n_keep", int, 5000),
-            thin=self._get("sampler", "thin", int, 1),
-            seed=(
-                self._get("sampler", "seed", int, 0)
-                if seed_override is None
-                else seed_override
-            ),
-            cutpoints_per_dim=self._get("sampler", "cutpoints", int, 100),
-            cutpoint_method=self._get("sampler", "cutpoint_method", str, "uniform"),
-            min_leaf_n=self._get("sampler", "min_leaf_n", int, 1),
-        )
+        try:
+            return sampler.SamplerConfig(
+                m=self._get("sampler", "trees", int, 10),
+                k=self._get("sampler", "k", float, 2.0),
+                informative=self._get("sampler", "informative", _parse_bool, False),
+                nu=self._get("sampler", "nu", float, 10.0),
+                lam=None if lam_raw.strip().lower() == "auto" else float(lam_raw),
+                lam_match=self._get("sampler", "lambda_match", str, "mode"),
+                n_burn=self._get("sampler", "n_burn", int, 2000),
+                n_keep=self._get("sampler", "n_keep", int, 5000),
+                thin=self._get("sampler", "thin", int, 1),
+                seed=(
+                    self._get("sampler", "seed", int, 0)
+                    if seed_override is None
+                    else seed_override
+                ),
+                cutpoints_per_dim=self._get("sampler", "cutpoints", int, 100),
+                cutpoint_method=self._get("sampler", "cutpoint_method", str, "uniform"),
+                min_leaf_n=self._get("sampler", "min_leaf_n", int, 1),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad [sampler] settings: {exc}") from exc
 
     def n_chains(self) -> int:
         return self._get("sampler", "chains", int, 1)
@@ -373,21 +375,23 @@ def _summary_lines(meta: dict, grid_cols, sigma2: np.ndarray) -> list[str]:
 
 
 def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=None) -> None:
+    scfg = cfg.sampler_config(seed_override)
+    if chains is None:
+        chains = cfg.n_chains()
+    if chains < 1:
+        raise ConfigError(f"need at least one chain, got {chains}")
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
     names, train_mean, train_var, grid_mean, _, _ = cfg.model_predictions(
         data, grid
     )
-    scfg = cfg.sampler_config(seed_override)
-    if chains is None:
-        chains = cfg.n_chains()
     ps = sampler.PredictionSet(
         means=train_mean,
         variances=train_var if scfg.informative else None,
         grid=grid,
         grid_means=grid_mean,
     )
-    if chains <= 1:
+    if chains == 1:
         draws = sampler.fit_bmm(data, ps, scfg)
     else:
         parts = []

@@ -173,14 +173,13 @@ def extract_coefficients(runs, q: float, yref: float) -> np.ndarray:
 class EftGp:
     """Fitted truncation-error model for one simulator.
 
-    ``mu`` is the coefficient-GP mean (fixed at 0 when fitted), ``cbar2``
-    the coefficient variance, ``ell`` the squared-exponential correlation
+    The coefficient GP has mean zero, so the tail adds no mean.  ``cbar2``
+    is the coefficient variance, ``ell`` the squared-exponential correlation
     length.  ``q_map``/``yref_map`` give the expansion parameter and scale
     at any input; the design inputs and extracted coefficient matrix are
     kept for reference.
     """
 
-    mu: float
     cbar2: float
     ell: float
     q_map: Callable[[float], float]
@@ -197,12 +196,6 @@ def _clip_q(q: float) -> tuple[float, bool]:
     if abs(q) > Q_MAX:
         return float(np.sign(q)) * Q_MAX, True
     return q, False
-
-
-def truncation_mean(gp: EftGp, order: int, x) -> float:
-    """Tail mean mu * y_ref(x) * Q^(N+1) / (1 - Q), with Q capped at Q_MAX."""
-    q, _ = _clip_q(float(gp.q_map(x)))
-    return gp.mu * float(gp.yref_map(x)) * q ** (order + 1) / (1.0 - q)
 
 
 def truncation_cov(gp: EftGp, order: int, x, xp) -> float:
@@ -273,7 +266,6 @@ def fit_eft(
     design_inputs,
     q_map: Callable[[float], float],
     yref_map: Callable[[float], float],
-    **fit_kwargs,
 ) -> EftGp:
     """Fit the truncation-error GP of one simulator from its own runs.
 
@@ -289,9 +281,8 @@ def fit_eft(
             for i, x in enumerate(xs)
         ]
     )
-    cbar2, ell = fit_coefficient_gp(C, xs, **fit_kwargs)
+    cbar2, ell = fit_coefficient_gp(C, xs)
     return EftGp(
-        mu=0.0,
         cbar2=cbar2,
         ell=ell,
         q_map=q_map,
@@ -305,9 +296,9 @@ def fit_eft(
 class EftPrediction:
     """Pointwise prediction of one simulator over a grid.
 
-    ``mean`` is series value plus tail mean, ``variance`` the tail variance,
-    and ``capped`` flags grid points where the expansion parameter was
-    clipped to Q_MAX.
+    ``mean`` is the series value (the tail has mean zero), ``variance`` the
+    tail variance, and ``capped`` flags grid points where the expansion
+    parameter was clipped to Q_MAX.
     """
 
     grid: np.ndarray
@@ -325,9 +316,7 @@ def predict_eft(gp: EftGp, e: Expansion, grid) -> EftPrediction:
     xs = np.atleast_1d(np.asarray(grid, dtype=float)).ravel()
     if xs.size == 0:
         raise ValueError("grid must be nonempty")
-    mean = np.array(
-        [evaluate_expansion(e, x) + truncation_mean(gp, e.order, x) for x in xs]
-    )
+    mean = np.array([evaluate_expansion(e, x) for x in xs])
     var = np.array([truncation_cov(gp, e.order, x, x) for x in xs])
     capped = np.array([truncation_capped(gp, x) for x in xs])
     return EftPrediction(grid=xs, mean=mean, variance=var, capped=capped)

@@ -39,14 +39,16 @@ from .trees import (
     propose_rule_change,
 )
 
+BIRTH_PROB = 0.5  # chance that a structure move proposes a birth, not a death
+
 
 @dataclass
 class PredictionSet:
     """Per-model predictions at the training points and on a prediction grid.
 
     ``means`` is (n, K); ``variances`` is only needed for the informative
-    leaf prior.  ``grid``/``grid_means`` define where mixed predictions and
-    weight functions are recorded during sampling.
+    leaf prior.  ``grid``/``grid_means`` define where the kept draws' mixed
+    predictions and weight functions are summarised.
     """
 
     means: np.ndarray
@@ -99,13 +101,8 @@ class SamplerConfig:
     cutpoints_per_dim: int = 100
     cutpoint_method: str = "uniform"
     min_leaf_n: int = 1
-    split_base: float = 0.95
-    split_power: float = 2.0
-    birth_prob: float = 0.5
     structure_moves: bool = True
-    relocation_moves: bool = False
     fixed_sigma2: Optional[float] = None
-    n_hold_sigma2: Optional[int] = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -114,10 +111,16 @@ class SamplerConfig:
             raise ValueError("min_leaf_n must be at least 1")
         if self.n_keep < 1 or self.thin < 1 or self.n_burn < 0:
             raise ValueError("bad iteration counts")
-        if not 0.0 < self.birth_prob < 1.0:
-            raise ValueError("birth_prob must be in (0, 1)")
-        if self.n_hold_sigma2 is None:
-            self.n_hold_sigma2 = self.n_burn // 2
+        if not (self.k > 0 and self.nu > 0):
+            raise ValueError("k and nu must be positive")
+        if self.lam is not None and not self.lam > 0:
+            raise ValueError("lambda must be positive")
+        if self.lam_match not in ("mode", "mean"):
+            raise ValueError(f"lambda_match must be 'mode' or 'mean', got {self.lam_match!r}")
+        if self.cutpoints_per_dim < 1:
+            raise ValueError("need at least one cutpoint per dimension")
+        if self.cutpoint_method not in ("uniform", "midpoints"):
+            raise ValueError(f"unknown cutpoint method {self.cutpoint_method!r}")
 
 
 class Chain:
@@ -130,18 +133,12 @@ class Chain:
             raise ValueError("inputs and outputs must align")
         if ps.means.shape[0] != self.y.size:
             raise ValueError("prediction rows must align with the dataset")
-        self.ps = ps
         self.cfg = cfg
         self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.F = ps.means
         self.n, self.n_models = self.F.shape
 
-        self.tree_cfg = TreePriorConfig(
-            split_base=cfg.split_base,
-            split_power=cfg.split_power,
-            cutpoints_per_dim=cfg.cutpoints_per_dim,
-            min_leaf_n=cfg.min_leaf_n,
-        )
+        self.tree_cfg = TreePriorConfig(min_leaf_n=cfg.min_leaf_n)
         self.grid = CutpointGrid.from_data(
             self.X, cfg.cutpoints_per_dim, cfg.cutpoint_method
         )
@@ -209,13 +206,13 @@ class Chain:
         accepted = False
         if structure and self.cfg.structure_moves:
             self.n_proposals += 1
-            birth = self.rng.random() < self.cfg.birth_prob
+            birth = self.rng.random() < BIRTH_PROB
             if birth:
                 prop = propose_birth(self.trees[j], self.X, self.tree_cfg, self.rng)
-                log_kind = np.log1p(-self.cfg.birth_prob) - np.log(self.cfg.birth_prob)
+                log_kind = np.log1p(-BIRTH_PROB) - np.log(BIRTH_PROB)
             else:
                 prop = propose_death(self.trees[j], self.X, self.tree_cfg, self.rng)
-                log_kind = np.log(self.cfg.birth_prob) - np.log1p(-self.cfg.birth_prob)
+                log_kind = np.log(BIRTH_PROB) - np.log1p(-BIRTH_PROB)
             accepted = self._try_accept(j, prop, resid, log_kind)
         self._redraw_leaves(j, resid)
         return accepted
@@ -255,7 +252,7 @@ class Chain:
             value = _sample_leaf_raw(
                 resid[idx], self.F[idx], lp.mean, lp.sd, self.sigma2, self.rng
             )
-            tree.values[leaf] = value
+            tree.values[leaf] = value  # a new vector: kept draws hold the old one
             fit_j[idx] = self.F[idx] @ value
         self.total_fit = self.fits.sum(axis=0)
 
@@ -278,19 +275,15 @@ class Chain:
         structure exists.  The rule-relocation step exists because birth
         and death alone cannot move a load-bearing cut: without it the
         chain freezes in whatever split locations it grew first and cannot
-        recover from noise-variance excursions.
+        recover from noise-variance excursions.  Kept draws come from
+        birth/death alone, so relocation runs only during warmup.
         """
-        relocate = self.cfg.relocation_moves or warmup
         for j in range(self.cfg.m):
             self.mh_tree_update(j, structure=structure)
-            if relocate and structure and self.cfg.structure_moves:
+            if warmup and structure and self.cfg.structure_moves:
                 self.mh_rule_change(j)
         if self.cfg.fixed_sigma2 is None and not hold_sigma2:
             self.sigma2 = sample_sigma2(self.total_sse, self.n, self.noise, self.rng)
-
-    def grid_weights(self) -> np.ndarray:
-        """Current weight functions evaluated on the prediction grid."""
-        return evaluate_weights_batch(self.trees, self.ps.grid)
 
 
 def evaluate_weights_batch(trees, X) -> np.ndarray:
@@ -303,24 +296,24 @@ def evaluate_weights_batch(trees, X) -> np.ndarray:
 
 @dataclass
 class PosteriorDraws:
-    """Kept MCMC output: traces plus serialized ensembles and run metadata."""
+    """Kept MCMC output: sigma2 and the m trees of each kept draw.
+
+    The trees of a kept draw are copies, so the chain's later moves leave
+    them alone: a leaf redraw replaces an entry of the chain tree's
+    ``values`` list and a proposal edits its own copy.
+    """
 
     grid: np.ndarray
     grid_means: np.ndarray
     sigma2_trace: np.ndarray
-    weight_trace: np.ndarray  # (n_kept, n_grid, K)
-    mixed_trace: np.ndarray  # (n_kept, n_grid)
-    tree_texts: list = field(default_factory=list)
+    ensembles: list  # n_kept lists of m trees
     n_proposals: int = 0
     n_accepted: int = 0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n_kept = self.sigma2_trace.shape[0]
-        if self.weight_trace.shape[0] != n_kept or self.mixed_trace.shape[0] != n_kept:
-            raise ValueError("trace lengths must agree")
-        if self.tree_texts and len(self.tree_texts) != n_kept:
-            raise ValueError("tree archive must match kept draws")
+        if len(self.ensembles) != self.n_kept:
+            raise ValueError("kept ensembles must match the sigma2 trace")
 
     @property
     def n_kept(self) -> int:
@@ -337,9 +330,7 @@ class PosteriorDraws:
             grid=first.grid,
             grid_means=first.grid_means,
             sigma2_trace=np.concatenate([p.sigma2_trace for p in parts]),
-            weight_trace=np.concatenate([p.weight_trace for p in parts]),
-            mixed_trace=np.concatenate([p.mixed_trace for p in parts]),
-            tree_texts=[t for p in parts for t in p.tree_texts],
+            ensembles=[e for p in parts for e in p.ensembles],
             n_proposals=sum(p.n_proposals for p in parts),
             n_accepted=sum(p.n_accepted for p in parts),
             meta=dict(first.meta, chains=len(parts)),
@@ -355,42 +346,33 @@ def fit_bmm(
     """Run the backfitting sampler and record posterior draws.
 
     Trees start as roots at the prior mean and sigma2 at the pilot error
-    variance.  After ``n_burn`` warmup sweeps, every ``thin``-th of
-    ``n_keep * thin`` further sweeps is kept.  ``callback(sweep, chain)``,
-    when given, is invoked after every sweep.
+    variance, which is held for the first half of the ``n_burn`` warmup
+    sweeps.  After warmup, every ``thin``-th of ``n_keep * thin`` further
+    sweeps is kept.  ``callback(sweep, chain)``, when given, is invoked
+    after every sweep.
     """
     chain = Chain(dataset.inputs, dataset.outputs, ps, cfg)
-    n_grid = ps.grid.shape[0]
     sigma2_trace = np.empty(cfg.n_keep)
-    weight_trace = np.empty((cfg.n_keep, n_grid, ps.n_models))
-    mixed_trace = np.empty((cfg.n_keep, n_grid))
-    tree_texts = []
+    ensembles = []
 
     total = cfg.n_burn + cfg.n_keep * cfg.thin
-    kept = 0
     for sweep in range(total):
         chain.gibbs_sweep(
             structure=sweep > 0,
             warmup=sweep < cfg.n_burn,
-            hold_sigma2=sweep < cfg.n_hold_sigma2,
+            hold_sigma2=sweep < cfg.n_burn // 2,
         )
         if callback is not None:
             callback(sweep, chain)
         if sweep >= cfg.n_burn and (sweep - cfg.n_burn) % cfg.thin == 0:
-            w = chain.grid_weights()
-            sigma2_trace[kept] = chain.sigma2
-            weight_trace[kept] = w
-            mixed_trace[kept] = np.einsum("gk,gk->g", ps.grid_means, w)
-            tree_texts.append([t.encode() for t in chain.trees])
-            kept += 1
+            sigma2_trace[len(ensembles)] = chain.sigma2
+            ensembles.append([t.copy() for t in chain.trees])
 
     return PosteriorDraws(
         grid=ps.grid,
         grid_means=ps.grid_means,
         sigma2_trace=sigma2_trace,
-        weight_trace=weight_trace,
-        mixed_trace=mixed_trace,
-        tree_texts=tree_texts,
+        ensembles=ensembles,
         n_proposals=chain.n_proposals,
         n_accepted=chain.n_accepted,
         meta={
@@ -425,27 +407,27 @@ class MixedSummary:
     wsum_hi: np.ndarray
 
 
-def predict_mixed(draws: PosteriorDraws, grid_means=None) -> MixedSummary:
+def predict_mixed(draws: PosteriorDraws) -> MixedSummary:
     """Posterior mean and central 95% band of the mixed prediction, each
-    weight function, and the sum of weights, over the stored grid."""
+    weight function, and the sum of weights, over the draws' grid."""
     if draws.n_kept < 1:
         raise ValueError("no kept draws")
-    if grid_means is None:
-        grid_means = draws.grid_means
-        mixed = draws.mixed_trace
-    else:
-        grid_means = np.atleast_2d(np.asarray(grid_means, dtype=float))
-        mixed = np.einsum("gk,sgk->sg", grid_means, draws.weight_trace)
-    wsum = draws.weight_trace.sum(axis=2)
+    weights = np.empty((draws.n_kept,) + draws.grid_means.shape)
+    for s, trees in enumerate(draws.ensembles):
+        weights[s] = evaluate_weights_batch(trees, draws.grid)
+    # The weight quantiles go first so their sorted copy is freed before
+    # the mixed and weight-sum traces are built.
+    w_lo, w_hi = np.quantile(weights, [0.025, 0.975], axis=0)
+    mixed = np.einsum("gk,sgk->sg", draws.grid_means, weights)
+    wsum = weights.sum(axis=2)
     m_lo, m_hi = np.quantile(mixed, [0.025, 0.975], axis=0)
-    w_lo, w_hi = np.quantile(draws.weight_trace, [0.025, 0.975], axis=0)
     s_lo, s_hi = np.quantile(wsum, [0.025, 0.975], axis=0)
     return MixedSummary(
         grid=draws.grid,
         mean=mixed.mean(axis=0),
         lo=m_lo,
         hi=m_hi,
-        weight_mean=draws.weight_trace.mean(axis=0),
+        weight_mean=weights.mean(axis=0),
         weight_lo=w_lo,
         weight_hi=w_hi,
         wsum_mean=wsum.mean(axis=0),
@@ -459,10 +441,10 @@ def save_draws(draws: PosteriorDraws, path) -> None:
     with open(path, "w") as fh:
         for key, val in sorted(draws.meta.items()):
             fh.write(f"# {key} = {val}\n")
-        for i in range(draws.n_kept):
+        for i, trees in enumerate(draws.ensembles):
             fh.write(f"draw {i} sigma2 {draws.sigma2_trace[i]:.17g}\n")
-            for text in draws.tree_texts[i]:
-                fh.write(f"tree {text}\n")
+            for tree in trees:
+                fh.write(f"tree {tree.encode()}\n")
 
 
 def load_draws(path) -> list[tuple[float, list[Tree]]]:
@@ -484,21 +466,15 @@ def load_draws(path) -> list[tuple[float, list[Tree]]]:
 
 
 def predict_from_archive(ensembles, grid, grid_means) -> MixedSummary:
-    """Re-predict on a new grid from archived draws."""
+    """Re-predict on a new grid from archived (sigma2, trees) pairs."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.ndim == 1:
         grid = grid[:, None]
-    grid_means = np.atleast_2d(np.asarray(grid_means, dtype=float))
-    weight_trace = np.stack(
-        [evaluate_weights_batch(trees, grid) for _, trees in ensembles]
-    )
-    sigma2 = np.array([s for s, _ in ensembles])
     draws = PosteriorDraws(
         grid=grid,
-        grid_means=grid_means,
-        sigma2_trace=sigma2,
-        weight_trace=weight_trace,
-        mixed_trace=np.einsum("gk,sgk->sg", grid_means, weight_trace),
+        grid_means=np.atleast_2d(np.asarray(grid_means, dtype=float)),
+        sigma2_trace=np.array([s for s, _ in ensembles]),
+        ensembles=[trees for _, trees in ensembles],
     )
     return predict_mixed(draws)
 

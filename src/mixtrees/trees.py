@@ -28,7 +28,6 @@ class TreePriorConfig:
 
     split_base: float = 0.95
     split_power: float = 2.0
-    cutpoints_per_dim: int = 100
     min_leaf_n: int = 1
 
     def __post_init__(self):

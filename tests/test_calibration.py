@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixtrees.calibration import (
-    MixPriorConfig,
     SIGMA2_FLOOR,
     calibrate_sigma2_prior,
     informative_leaf_mean,
@@ -150,11 +149,3 @@ class TestSigma2Calibration:
         with pytest.raises(ValueError):
             calibrate_sigma2_prior(np.ones((2, 1)), np.zeros(2), nu=5.0, match="median")
 
-
-class TestMixPriorConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MixPriorConfig(m=0)
-        with pytest.raises(ValueError):
-            MixPriorConfig(k=0.0)
-        MixPriorConfig()  # defaults are valid

@@ -1,9 +1,18 @@
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mixtrees.cli import ExperimentConfig, main, read_csv
 from mixtrees.dataset import read_table
+from mixtrees.sampler import load_draws, predict_from_archive
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINI_CONFIG = """\
 [experiment]
@@ -93,6 +102,14 @@ seed = 5
 [evaluation]
 mesh_per_dim = 5
 """
+
+
+def with_sampler_setting(key, value):
+    """MINI_CONFIG with ``key = value`` in [sampler], replacing any old value."""
+    head, tail = MINI_CONFIG.split("[sampler]\n")
+    body, rest = tail.split("\n\n", 1)
+    lines = [line for line in body.splitlines() if line.split(" = ")[0] != key]
+    return head + "[sampler]\n" + "\n".join(lines + [f"{key} = {value}"]) + "\n\n" + rest
 
 
 @pytest.fixture
@@ -216,6 +233,32 @@ class TestMix:
         _, _, cols = read_csv(out / "mini" / "sigma2_trace.csv")
         assert cols["draw"].size == 120  # 2 chains x 60 kept
 
+    @pytest.mark.parametrize("chains", ["1", "2"])
+    def test_archive_repredicts_mix_grid_exactly(self, mini_cfg, tmp_path, chains):
+        out = tmp_path / "runs"
+        args = ["mix", "--config", str(mini_cfg), "--out", str(out), "--chains", chains]
+        assert main(args) == 0
+        cfg = ExperimentConfig(mini_cfg)
+        data = cfg.build_dataset()
+        grid = cfg.eval_grid(data)
+        names, _, _, grid_means, _, _ = cfg.model_predictions(data, grid)
+        summary = predict_from_archive(
+            load_draws(out / "mini" / "draws.txt"), grid, grid_means
+        )
+        expected = {
+            "mean": summary.mean, "lo95": summary.lo, "hi95": summary.hi,
+            "wsum_mean": summary.wsum_mean, "wsum_lo95": summary.wsum_lo,
+            "wsum_hi95": summary.wsum_hi,
+        }
+        for i, name in enumerate(names):
+            expected[f"w_{name}_mean"] = summary.weight_mean[:, i]
+            expected[f"w_{name}_lo95"] = summary.weight_lo[:, i]
+            expected[f"w_{name}_hi95"] = summary.weight_hi[:, i]
+        _, header, cols = read_csv(out / "mini" / "mix_grid.csv")
+        assert set(expected) <= set(header)
+        for column, values in expected.items():
+            np.testing.assert_array_equal(cols[column], values, err_msg=column)
+
     def test_mix_on_2d_problem(self, mini_2d_cfg, tmp_path):
         out = tmp_path / "runs"
         assert main(["mix", "--config", str(mini_2d_cfg), "--out", str(out)]) == 0
@@ -330,8 +373,59 @@ class TestConfigErrors:
             main(["fit-eft", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         )
 
+    @pytest.mark.parametrize(
+        "key, value, args",
+        [
+            ("trees", "0", []),
+            ("k", "0", []),
+            ("nu", "-1", []),
+            ("lambda", "-1", []),
+            ("lambda_match", "foo", []),
+            ("thin", "0", []),
+            ("n_keep", "0", []),
+            ("min_leaf_n", "0", []),
+            ("cutpoints", "0", []),
+            ("cutpoint_method", "foo", []),
+            ("chains", "0", []),
+            ("chains", "1", ["--chains", "-1"]),
+        ],
+    )
+    def test_bad_sampler_value(self, tmp_path, capsys, key, value, args):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_sampler_setting(key, value))
+        out = tmp_path / "runs"
+        assert main(["mix", "--config", str(cfg), "--out", str(out)] + args) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (out / "mini" / "mix_grid.csv").exists()
+
     def test_config_hash_recorded_and_stable(self, mini_cfg):
         a = ExperimentConfig(mini_cfg)
         b = ExperimentConfig(mini_cfg)
         assert a.config_hash == b.config_hash
         assert len(a.config_hash) == 16
+
+
+class TestBenchmarkHooks:
+    def test_traced_mix_reports_layer_counts(self, mini_cfg, tmp_path):
+        # perfbench/trace_child.py patches sampler and tree internals by name;
+        # a renamed or reshaped one breaks the traced benchmark run.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        metrics = tmp_path / "metrics.json"
+        argv = [
+            sys.executable,
+            str(ROOT / "perfbench" / "trace_child.py"),
+            str(mini_cfg),
+            str(tmp_path / "runs"),
+            str(tmp_path / "spans.tsv"),
+            str(metrics),
+        ]
+        proc = subprocess.run(
+            argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        layers = json.loads(metrics.read_text())
+        for name in ("trees.evaluate.calls", "trees.encode.calls", "node_model.log_ml.calls"):
+            assert layers[name] > 0, name

@@ -18,7 +18,6 @@ from mixtrees.eft import (
     taylor_sin,
     taylor_surface_simulator,
     truncation_cov,
-    truncation_mean,
     weak_coefficients,
     weak_expansion,
 )
@@ -129,9 +128,8 @@ class TestExtraction:
             extract_coefficients([1.0], q=0.5, yref=0.0)
 
 
-def _simple_gp(mu=0.0, cbar2=1.0, q=None, yref=None):
+def _simple_gp(cbar2=1.0, q=None, yref=None):
     return EftGp(
-        mu=mu,
         cbar2=cbar2,
         ell=1.0,
         q_map=q or (lambda x: x),
@@ -142,20 +140,6 @@ def _simple_gp(mu=0.0, cbar2=1.0, q=None, yref=None):
 
 
 class TestTruncationMoments:
-    def test_zero_mean_gp_has_zero_tail_mean(self):
-        gp = _simple_gp(mu=0.0)
-        for x in (0.1, 0.5, 0.9):
-            assert truncation_mean(gp, 2, x) == 0.0
-
-    def test_tail_mean_formula(self):
-        gp = _simple_gp(mu=1.0, q=lambda x: 0.5)
-        assert truncation_mean(gp, 1, 0.3) == pytest.approx(0.5 ** 2 / 0.5)
-
-    def test_tail_mean_with_scale(self):
-        gp = _simple_gp(mu=1.0, q=lambda x: 0.9, yref=lambda x: 2.0)
-        # 2 * 0.9^4 / 0.1
-        assert truncation_mean(gp, 3, 0.0) == pytest.approx(13.122, rel=1e-12)
-
     def test_tail_cov_diagonal_value(self):
         gp = _simple_gp(q=lambda x: 0.5)
         # 0.5^4 / (1 - 0.25) = 1/12
@@ -233,10 +217,6 @@ class TestFitEft:
         assert hits / n_rep >= 0.8
         assert np.mean(estimates) == pytest.approx(1.0, abs=0.25)
 
-    def test_mu_fixed_to_zero(self):
-        gp = fit_eft(weak_expansion(2), np.linspace(0.03, 0.5, 4), lambda x: x, lambda x: 1.0)
-        assert gp.mu == 0.0
-
 
 @pytest.fixture(scope="module")
 def weak_fit():
@@ -264,10 +244,10 @@ class TestPredictEft:
     def test_spot_value_recomposed_by_hand(self):
         # Independent recomposition of mean and variance for a hand-built GP.
         e = weak_expansion(2)
-        gp = _simple_gp(mu=0.7, cbar2=2.0, q=lambda x: x, yref=lambda x: 1.5)
+        gp = _simple_gp(cbar2=2.0, q=lambda x: x, yref=lambda x: 1.5)
         x = 0.4
         pred = predict_eft(gp, e, [x])
-        expect_mean = evaluate_expansion(e, x) + 0.7 * 1.5 * x ** 3 / (1 - x)
+        expect_mean = evaluate_expansion(e, x)  # the tail has mean zero
         expect_var = 2.0 * 1.5 ** 2 * x ** 6 / (1 - x ** 2)
         assert pred.mean[0] == pytest.approx(expect_mean, rel=1e-12)
         assert pred.variance[0] == pytest.approx(expect_var, rel=1e-12)

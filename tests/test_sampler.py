@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -40,6 +41,10 @@ def make_problem(n=12, k=2, seed=0, n_grid=15):
         grid_means=np.column_stack([g1, g2])[:, :k],
     )
     return data, ps
+
+
+def encoded(ensembles):
+    return [[t.encode() for t in trees] for trees in ensembles]
 
 
 def root_tree(grid, value):
@@ -180,8 +185,22 @@ class TestGibbsSweep:
         a = fit_bmm(data, ps, cfg)
         b = fit_bmm(data, ps, cfg)
         np.testing.assert_array_equal(a.sigma2_trace, b.sigma2_trace)
-        np.testing.assert_array_equal(a.mixed_trace, b.mixed_trace)
-        assert a.tree_texts == b.tree_texts
+        assert encoded(a.ensembles) == encoded(b.ensembles)
+
+    def test_kept_ensembles_are_snapshots(self):
+        # Later sweeps redraw every leaf and move structure; the trees kept
+        # for an earlier draw must still read as they did when kept.
+        data, ps = make_problem()
+        cfg = SamplerConfig(m=3, n_burn=10, n_keep=20, thin=2, seed=4)
+        at_keep = []
+
+        def record(sweep, chain):
+            if sweep >= cfg.n_burn and (sweep - cfg.n_burn) % cfg.thin == 0:
+                at_keep.append([t.encode() for t in chain.trees])
+
+        draws = fit_bmm(data, ps, cfg, callback=record)
+        assert len(at_keep) == cfg.n_keep
+        assert encoded(draws.ensembles) == at_keep
 
     def test_sse_cache_matches_recomputation(self):
         # Cache coherence: the SSE the sigma2 draw uses must equal the SSE
@@ -319,7 +338,7 @@ class TestInformativePrior:
         right = chain.leaf_prior_for(np.arange(12, 16))
         assert left.mean[0] > right.mean[0]
         draws = fit_bmm(data, ps, cfg)
-        assert np.all(np.isfinite(draws.mixed_trace))
+        assert np.all(np.isfinite(predict_mixed(draws).mean))
 
     def test_informative_requires_variances(self):
         data, ps = make_problem()
@@ -369,16 +388,29 @@ class TestEvaluateWeights:
             np.testing.assert_allclose(batch[i], brute, rtol=1e-12)
 
 
+def step_tree(weights, grid):
+    """One 1-d tree whose leaf at ``grid[g]`` holds ``weights[g]``: a chain
+    of splits at the midpoints between neighbouring grid points."""
+    leaf = lambda w: f"L {len(w)} " + " ".join(f"{v:.17g}" for v in w)  # noqa: E731
+    cuts = 0.5 * (grid[:-1] + grid[1:])
+    parts = [f"I 0 {c:.17g} {leaf(w)}" for c, w in zip(cuts, weights)]
+    return Tree.decode(" ".join(parts + [leaf(weights[-1])]))
+
+
 class TestPredictMixed:
     def make_draws(self, weight_trace, grid_means):
         n_kept, n_grid, k = weight_trace.shape
-        return PosteriorDraws(
-            grid=np.linspace(0, 1, n_grid)[:, None],
+        grid = np.linspace(0, 1, n_grid)
+        draws = PosteriorDraws(
+            grid=grid[:, None],
             grid_means=grid_means,
             sigma2_trace=np.ones(n_kept),
-            weight_trace=weight_trace,
-            mixed_trace=np.einsum("gk,sgk->sg", grid_means, weight_trace),
+            ensembles=[[step_tree(w, grid)] for w in weight_trace],
         )
+        # The step trees hand back the weights bit for bit.
+        for w, trees in zip(weight_trace, draws.ensembles):
+            np.testing.assert_array_equal(evaluate_weights_batch(trees, draws.grid), w)
+        return draws
 
     def test_unit_weights_reproduce_model_mean(self):
         n_kept, n_grid = 50, 7
@@ -421,8 +453,7 @@ class TestPredictMixed:
                     grid=np.zeros((1, 1)),
                     grid_means=np.ones((1, 1)),
                     sigma2_trace=np.empty(0),
-                    weight_trace=np.empty((0, 1, 1)),
-                    mixed_trace=np.empty((0, 1)),
+                    ensembles=[],
                 )
             )
 
@@ -436,13 +467,13 @@ class TestDrawArchive:
         save_draws(draws, path)
         ensembles = load_draws(path)
         assert len(ensembles) == draws.n_kept
-        np.testing.assert_allclose(
-            [s for s, _ in ensembles], draws.sigma2_trace, rtol=1e-15
-        )
+        np.testing.assert_array_equal([s for s, _ in ensembles], draws.sigma2_trace)
         again = predict_from_archive(ensembles, ps.grid, ps.grid_means)
         original = predict_mixed(draws)
-        np.testing.assert_allclose(again.mean, original.mean, rtol=1e-12)
-        np.testing.assert_allclose(again.wsum_mean, original.wsum_mean, rtol=1e-12)
+        for f in dataclasses.fields(original):
+            np.testing.assert_array_equal(
+                getattr(again, f.name), getattr(original, f.name), err_msg=f.name
+            )
 
     def test_archive_supports_new_grid(self, tmp_path):
         data, ps = make_problem()
@@ -502,9 +533,10 @@ def make_problem_2d(n=40, seed=4, mesh=5):
 class TestGoldenBytes:
     """Seeded runs must reproduce recorded bytes exactly.
 
-    The SHA-256 values pin the draw archive and the sigma2 and mixed traces
-    of two fixed-seed runs, so a refactor of the tree or sampler code that
-    changes any RNG call, row order or float sum shows up here.  They were
+    The SHA-256 values pin the draw archive, the sigma2 trace and the mixed
+    trace evaluated from the kept trees of two fixed-seed runs, so a
+    refactor of the tree or sampler code that changes any RNG call, row
+    order or float sum shows up here.  They were
     recorded with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (Haswell
     kernels), so they pin that numpy/BLAS build: another build or CPU kernel
     may round dot products differently in the last bit and then needs its
@@ -516,12 +548,16 @@ class TestGoldenBytes:
         draws = fit_bmm(data, ps, cfg)
         path = tmp_path / "draws.txt"
         save_draws(draws, path)
+        weights = np.stack(
+            [evaluate_weights_batch(trees, ps.grid) for trees in draws.ensembles]
+        )
+        mixed = np.einsum("gk,sgk->sg", ps.grid_means, weights)
         return tuple(
             hashlib.sha256(b).hexdigest()
             for b in (
                 path.read_bytes(),
                 draws.sigma2_trace.tobytes(),
-                draws.mixed_trace.tobytes(),
+                mixed.tobytes(),
             )
         )
 

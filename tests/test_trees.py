@@ -18,7 +18,7 @@ from mixtrees.trees import (
 
 @pytest.fixture
 def cfg():
-    return TreePriorConfig(split_base=0.95, split_power=2.0, cutpoints_per_dim=100)
+    return TreePriorConfig(split_base=0.95, split_power=2.0)
 
 
 @pytest.fixture
