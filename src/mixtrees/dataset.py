@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class TableFormatError(ValueError):
@@ -66,7 +65,10 @@ def true_system_phi4(x: float) -> float:
 
     Evaluated by adaptive quadrature split at +-10 (the integrand is below
     1e-21 outside that range for every x); absolute tolerance 1e-10.
+    ``scipy.integrate`` is imported here, so runs that never integrate skip it.
     """
+    from scipy.integrate import quad
+
     x2 = float(x) ** 2
 
     def integrand(u):

@@ -4,16 +4,17 @@ Within a node the residuals are Gaussian around ``design @ mu`` with a
 N(beta, tau^2 I) prior on the K-vector ``mu``, so the marginal likelihood,
 the full conditional of ``mu``, and the full conditional of the error
 variance all have closed forms.  Everything derives from one Cholesky
-factorization of the K x K posterior precision; the ``_raw`` variants skip
-argument validation and are what the sampler's inner loop calls.
+factorization of the K x K posterior precision (``_factor``); the ``_raw``
+variants skip argument validation, can take that factor precomputed, and
+are what the sampler's inner loop calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -65,67 +66,67 @@ class NoisePrior:
             raise ValueError("shape and scale must be positive")
 
 
-def _precision_chol(resid, design, mean, sd, sigma2):
-    """Cholesky of the posterior precision A^-1 and the linear term b.
+def _gram(design):
+    """The K(K+1)/2 column dots ``design[:, j] @ design[:, i]``, j <= i, row
+    by row: the data part of the posterior precision."""
+    cols = [design[:, i] for i in range(design.shape[1])]
+    return [float(cols[j] @ cols[i]) for i in range(len(cols)) for j in range(i + 1)]
 
-    K is the number of models being mixed, so these matrices are tiny;
-    K <= 2 gets scalar closed forms to keep the sampler's inner loop off
-    the LAPACK dispatch path.
+
+def _factor(resid, design, gram, mean, sd, sigma2):
+    """Cholesky rows L of the posterior precision A^-1, and u = L^-1 b.
+
+    K is the number of models being mixed, so the K x K algebra runs in
+    Python floats, off the LAPACK dispatch path.  Only the length-n dots
+    (``gram`` and ``design[:, i] @ resid``) are numpy reductions.
     """
-    k = mean.size
     tau_prec = 1.0 / sd ** 2
-    if k == 1:
-        col = design[:, 0]
-        a = float(col @ col) / sigma2 + tau_prec
-        b0 = mean[0] * tau_prec + float(col @ resid) / sigma2
-        return np.array([[np.sqrt(a)]]), np.array([b0])
-    if k == 2:
-        c0, c1 = design[:, 0], design[:, 1]
-        a = float(c0 @ c0) / sigma2 + tau_prec
-        d = float(c1 @ c1) / sigma2 + tau_prec
-        c = float(c0 @ c1) / sigma2
-        l11 = np.sqrt(a)
-        l21 = c / l11
-        l22 = np.sqrt(d - l21 * l21)
-        b = np.array(
-            [
-                mean[0] * tau_prec + float(c0 @ resid) / sigma2,
-                mean[1] * tau_prec + float(c1 @ resid) / sigma2,
-            ]
-        )
-        return np.array([[l11, 0.0], [l21, l22]]), b
-    prec = design.T @ design / sigma2
-    prec.flat[:: k + 1] += tau_prec
-    b = mean * tau_prec + design.T @ resid / sigma2
-    return np.linalg.cholesky(prec), b
+    dots = iter(gram)
+    chol, b = [], []
+    for i in range(design.shape[1]):
+        row = []
+        for j in range(i + 1):
+            lj = row if j == i else chol[j]
+            s = next(dots) / sigma2
+            if j == i:
+                s += tau_prec
+            for p in range(j):
+                s -= row[p] * lj[p]
+            row.append(math.sqrt(s) if j == i else s / lj[j])
+        chol.append(row)
+        b.append(mean[i] * tau_prec + float(design[:, i] @ resid) / sigma2)
+    return chol, _solve_lower(chol, b)
 
 
-def _tri_solve_lower(chol, v):
-    k = v.size
-    if k == 1:
-        return v / chol[0, 0]
-    if k == 2:
-        u0 = v[0] / chol[0, 0]
-        return np.array([u0, (v[1] - chol[1, 0] * u0) / chol[1, 1]])
-    return solve_triangular(chol, v, lower=True, check_finite=False)
+def _solve_lower(chol, v):
+    """x with chol @ x = v, for the lower-triangular rows ``chol``."""
+    x = []
+    for i, row in enumerate(chol):
+        s = v[i]
+        for p in range(i):
+            s -= row[p] * x[p]
+        x.append(s / row[i])
+    return x
 
 
-def _tri_solve_upper_t(chol, v):
-    """Solve chol.T @ x = v for lower-triangular chol."""
-    k = v.size
-    if k == 1:
-        return v / chol[0, 0]
-    if k == 2:
-        x1 = v[1] / chol[1, 1]
-        return np.array([(v[0] - chol[1, 0] * x1) / chol[0, 0], x1])
-    return solve_triangular(chol.T, v, lower=False, check_finite=False)
+def _solve_upper_t(chol, v):
+    """x with chol.T @ x = v, for the lower-triangular rows ``chol``."""
+    k = len(v)
+    x = [0.0] * k
+    for i in reversed(range(k)):
+        s = v[i]
+        for p in range(i + 1, k):
+            s -= chol[p][i] * x[p]
+        x[i] = s / chol[i][i]
+    return x
 
 
-def _log_ml_raw(resid, design, mean, sd, sigma2) -> float:
-    chol, b = _precision_chol(resid, design, mean, sd, sigma2)
+def _log_ml_raw(resid, design, mean, sd, sigma2, factor=None) -> float:
+    """``factor``, when given, is ``_factor`` of these same arguments."""
+    chol, u = factor or _factor(resid, design, _gram(design), mean, sd, sigma2)
     # |A| = 1 / |A^-1|; chol factors A^-1.
-    log_det_a = -2.0 * float(np.sum(np.log(np.diag(chol))))
-    u = _tri_solve_lower(chol, b)
+    log_det_a = -2.0 * sum([np.log(row[i]) for i, row in enumerate(chol)])
+    u = np.array(u)  # a BLAS dot fuses multiply-adds; Python floats would not
     bab = float(u @ u)
     rss = float(resid @ resid)
     bb = float(mean @ mean)
@@ -137,12 +138,13 @@ def _log_ml_raw(resid, design, mean, sd, sigma2) -> float:
     )
 
 
-def _sample_leaf_raw(resid, design, mean, sd, sigma2, rng) -> np.ndarray:
-    chol, b = _precision_chol(resid, design, mean, sd, sigma2)
-    post_mean = _tri_solve_upper_t(chol, _tri_solve_lower(chol, b))
+def _sample_leaf_raw(resid, design, mean, sd, sigma2, rng, factor=None) -> np.ndarray:
+    """``factor``, when given, is ``_factor`` of these same arguments."""
+    chol, u = factor or _factor(resid, design, _gram(design), mean, sd, sigma2)
     # x ~ N(0, A): x = L^-T z with L L^T = A^-1.
-    z = rng.standard_normal(mean.size)
-    return post_mean + _tri_solve_upper_t(chol, z)
+    z = rng.standard_normal(len(u)).tolist()
+    post_mean, noise = _solve_upper_t(chol, u), _solve_upper_t(chol, z)
+    return np.array([m + e for m, e in zip(post_mean, noise)])
 
 
 def log_marginal_likelihood(nd: NodeData, lp: LeafPrior, sigma2: float) -> float:
@@ -156,13 +158,11 @@ def leaf_posterior(nd: NodeData, lp: LeafPrior, sigma2: float):
     """Full-conditional mean and covariance of the leaf vector."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    chol, b = _precision_chol(nd.residuals, nd.design, lp.mean, lp.sd, sigma2)
-    inv_l = solve_triangular(
-        chol, np.eye(lp.mean.size), lower=True, check_finite=False
-    )
-    cov = inv_l.T @ inv_l
+    chol, u = _factor(nd.residuals, nd.design, _gram(nd.design), lp.mean, lp.sd, sigma2)
+    eye = np.eye(lp.mean.size).tolist()
+    cov = np.array([_solve_upper_t(chol, _solve_lower(chol, e)) for e in eye])
     cov = 0.5 * (cov + cov.T)
-    return cov @ b, cov
+    return np.array(_solve_upper_t(chol, u)), cov
 
 
 def sample_leaf(

@@ -26,6 +26,8 @@ from .calibration import (
 from .node_model import (
     LeafPrior,
     NoisePrior,
+    _factor,
+    _gram,
     _log_ml_raw,
     _sample_leaf_raw,
     sample_sigma2,
@@ -40,6 +42,7 @@ from .trees import (
 )
 
 BIRTH_PROB = 0.5  # chance that a structure move proposes a birth, not a death
+META_KEYS = ("m", "k", "informative", "nu", "n_burn", "n_keep", "thin", "seed")
 
 
 @dataclass
@@ -70,9 +73,7 @@ class PredictionSet:
             raise ValueError("grid_means rows must match grid")
         if self.grid_means.shape[1] != self.means.shape[1]:
             raise ValueError("grid_means columns must match number of models")
-        if not np.all(np.isfinite(self.means)) or not np.all(
-            np.isfinite(self.grid_means)
-        ):
+        if not (np.isfinite(self.means).all() and np.isfinite(self.grid_means).all()):
             raise ValueError("non-finite predictions")
 
     @property
@@ -117,6 +118,8 @@ class SamplerConfig:
             raise ValueError("lambda must be positive")
         if self.lam_match not in ("mode", "mean"):
             raise ValueError(f"lambda_match must be 'mode' or 'mean', got {self.lam_match!r}")
+        if self.lam is None and self.lam_match == "mean" and self.nu <= 2:
+            raise ValueError("lambda_match = mean needs nu > 2")
         if self.cutpoints_per_dim < 1:
             raise ValueError("need at least one cutpoint per dimension")
         if self.cutpoint_method not in ("uniform", "midpoints"):
@@ -124,7 +127,11 @@ class SamplerConfig:
 
 
 class Chain:
-    """One MCMC chain; use :func:`fit_bmm` unless driving sweeps by hand."""
+    """One MCMC chain; use :func:`fit_bmm` unless driving sweeps by hand.
+
+    ``_live[j]`` maps each leaf of tree j (its row bytes) to ``(F[rows], Gram
+    dots, prior)``; ``_factors`` adds the posterior factor, for one update.
+    """
 
     def __init__(self, X, y, ps: PredictionSet, cfg: SamplerConfig, rng=None):
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -168,13 +175,13 @@ class Chain:
         else:
             self.sigma2 = max(pilot_sigma2(self.F, self.y), 1e-12)
 
-        self.trees = [
-            Tree.root_only(self.grid, root_mean) for _ in range(cfg.m)
-        ]
+        self.trees = [Tree.root_only(self.grid, root_mean) for _ in range(cfg.m)]
         self.fits = np.stack(
             [np.einsum("nk,nk->n", self.F, t.evaluate(self.X)) for t in self.trees]
         )
         self.total_fit = self.fits.sum(axis=0)
+        self._live = [{} for _ in self.trees]
+        self._factors = {}
         self.n_proposals = 0
         self.n_accepted = 0
 
@@ -192,22 +199,35 @@ class Chain:
         """y minus the fitted contribution of every tree except tree j."""
         return self.y - (self.total_fit - self.fits[j])
 
-    def _leaf_sets_log_ml(self, sets, resid) -> float:
+    def _leaf(self, j, idx, resid):
+        """Key, residual slice, stats and factor of tree j's leaf with rows idx."""
+        key, r = idx.tobytes(), resid[idx]
+        if key not in self._factors:
+            stats = self._live[j].get(key)
+            if stats is None:
+                design = self.F[idx]
+                stats = design, _gram(design), self.leaf_prior_for(idx)
+            design, gram, lp = stats
+            factor = _factor(r, design, gram, lp.mean, lp.sd, self.sigma2)
+            self._factors[key] = stats, factor
+        return (key, r) + self._factors[key]
+
+    def _leaf_sets_log_ml(self, j, sets, resid) -> float:
         total = 0.0
         for idx in sets:
-            lp = self.leaf_prior_for(idx)
-            total += _log_ml_raw(resid[idx], self.F[idx], lp.mean, lp.sd, self.sigma2)
+            _, r, (design, _, lp), factor = self._leaf(j, idx, resid)
+            total += _log_ml_raw(r, design, lp.mean, lp.sd, self.sigma2, factor)
         return total
 
     def mh_tree_update(self, j: int, structure: bool = True) -> bool:
         """Propose birth or death on tree j and accept via the integrated
         likelihood; then redraw all its leaves.  Returns the accept flag."""
         resid = self.tree_residuals(j)
+        self._factors = {}  # residuals and sigma2 now stay fixed until the redraw
         accepted = False
         if structure and self.cfg.structure_moves:
             self.n_proposals += 1
-            birth = self.rng.random() < BIRTH_PROB
-            if birth:
+            if self.rng.random() < BIRTH_PROB:
                 prop = propose_birth(self.trees[j], self.X, self.tree_cfg, self.rng)
                 log_kind = np.log1p(-BIRTH_PROB) - np.log(BIRTH_PROB)
             else:
@@ -220,6 +240,7 @@ class Chain:
     def mh_rule_change(self, j: int) -> bool:
         """Relocate one rule of tree j (warmup move); leaves are redrawn."""
         resid = self.tree_residuals(j)
+        self._factors = {}
         self.n_proposals += 1
         prop = propose_rule_change(self.trees[j], self.X, self.tree_cfg, self.rng)
         accepted = self._try_accept(j, prop, resid, 0.0)
@@ -230,8 +251,8 @@ class Chain:
         if not prop.valid:
             return False
         log_ratio = (
-            self._leaf_sets_log_ml(prop.new_leaf_sets, resid)
-            - self._leaf_sets_log_ml(prop.old_leaf_sets, resid)
+            self._leaf_sets_log_ml(j, prop.new_leaf_sets, resid)
+            - self._leaf_sets_log_ml(j, prop.old_leaf_sets, resid)
             + prop.log_prior_ratio
             + log_kind
             + prop.log_reverse
@@ -246,14 +267,16 @@ class Chain:
     def _redraw_leaves(self, j: int, resid: np.ndarray) -> None:
         tree, fit_j = self.trees[j], self.fits[j]
         rows = tree.node_rows(self.X)
+        live = {}
         for leaf in tree.leaf_nodes():
             idx = rows[leaf]
-            lp = self.leaf_prior_for(idx)
-            value = _sample_leaf_raw(
-                resid[idx], self.F[idx], lp.mean, lp.sd, self.sigma2, self.rng
-            )
+            key, r, stats, factor = self._leaf(j, idx, resid)
+            live[key] = stats
+            design, _, lp = stats
+            value = _sample_leaf_raw(r, design, lp.mean, lp.sd, self.sigma2, self.rng, factor)
             tree.values[leaf] = value  # a new vector: kept draws hold the old one
-            fit_j[idx] = self.F[idx] @ value
+            fit_j[idx] = design @ value
+        self._live[j] = live  # only the surviving leaves: changed rows drop out
         self.total_fit = self.fits.sum(axis=0)
 
     @property
@@ -368,26 +391,11 @@ def fit_bmm(
             sigma2_trace[len(ensembles)] = chain.sigma2
             ensembles.append([t.copy() for t in chain.trees])
 
+    meta = {key: getattr(cfg, key) for key in META_KEYS}
+    meta.update(lam=chain.noise.scale, n_train=chain.n, n_models=chain.n_models)
     return PosteriorDraws(
-        grid=ps.grid,
-        grid_means=ps.grid_means,
-        sigma2_trace=sigma2_trace,
-        ensembles=ensembles,
-        n_proposals=chain.n_proposals,
-        n_accepted=chain.n_accepted,
-        meta={
-            "m": cfg.m,
-            "k": cfg.k,
-            "informative": cfg.informative,
-            "nu": cfg.nu,
-            "lam": chain.noise.scale,
-            "n_burn": cfg.n_burn,
-            "n_keep": cfg.n_keep,
-            "thin": cfg.thin,
-            "seed": cfg.seed,
-            "n_train": chain.n,
-            "n_models": chain.n_models,
-        },
+        ps.grid, ps.grid_means, sigma2_trace, ensembles,
+        chain.n_proposals, chain.n_accepted, meta,
     )
 
 
@@ -415,24 +423,17 @@ def predict_mixed(draws: PosteriorDraws) -> MixedSummary:
     weights = np.empty((draws.n_kept,) + draws.grid_means.shape)
     for s, trees in enumerate(draws.ensembles):
         weights[s] = evaluate_weights_batch(trees, draws.grid)
-    # The weight quantiles go first so their sorted copy is freed before
-    # the mixed and weight-sum traces are built.
-    w_lo, w_hi = np.quantile(weights, [0.025, 0.975], axis=0)
+    # The weight band goes first so its sorted copy is freed before the
+    # mixed and weight-sum traces are built.
+    q = [0.025, 0.975]
+    weight_band = np.quantile(weights, q, axis=0)
     mixed = np.einsum("gk,sgk->sg", draws.grid_means, weights)
     wsum = weights.sum(axis=2)
-    m_lo, m_hi = np.quantile(mixed, [0.025, 0.975], axis=0)
-    s_lo, s_hi = np.quantile(wsum, [0.025, 0.975], axis=0)
     return MixedSummary(
-        grid=draws.grid,
-        mean=mixed.mean(axis=0),
-        lo=m_lo,
-        hi=m_hi,
-        weight_mean=weights.mean(axis=0),
-        weight_lo=w_lo,
-        weight_hi=w_hi,
-        wsum_mean=wsum.mean(axis=0),
-        wsum_lo=s_lo,
-        wsum_hi=s_hi,
+        draws.grid,
+        mixed.mean(axis=0), *np.quantile(mixed, q, axis=0),
+        weights.mean(axis=0), *weight_band,
+        wsum.mean(axis=0), *np.quantile(wsum, q, axis=0),
     )
 
 
@@ -456,8 +457,7 @@ def load_draws(path) -> list[tuple[float, list[Tree]]]:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("draw "):
-                parts = line.split()
-                out.append((float(parts[3]), []))
+                out.append((float(line.split()[3]), []))
             elif line.startswith("tree "):
                 out[-1][1].append(Tree.decode(line[5:]))
             else:

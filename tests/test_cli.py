@@ -1,4 +1,5 @@
 
+import hashlib
 import json
 import os
 import subprocess
@@ -105,11 +106,25 @@ mesh_per_dim = 5
 
 
 def with_sampler_setting(key, value):
-    """MINI_CONFIG with ``key = value`` in [sampler], replacing any old value."""
+    """MINI_CONFIG with ``key = value`` in [sampler], replacing any old value.
+
+    ``value`` may go on with more ``key = value`` lines, which replace too.
+    """
     head, tail = MINI_CONFIG.split("[sampler]\n")
     body, rest = tail.split("\n\n", 1)
-    lines = [line for line in body.splitlines() if line.split(" = ")[0] != key]
-    return head + "[sampler]\n" + "\n".join(lines + [f"{key} = {value}"]) + "\n\n" + rest
+    new = f"{key} = {value}".splitlines()
+    keys = {line.split(" = ")[0] for line in new}
+    lines = [line for line in body.splitlines() if line.split(" = ")[0] not in keys]
+    return head + "[sampler]\n" + "\n".join(lines + new) + "\n\n" + rest
+
+
+def src_env():
+    """The environment with ``src`` first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 @pytest.fixture
@@ -259,6 +274,36 @@ class TestMix:
         for column, values in expected.items():
             np.testing.assert_array_equal(cols[column], values, err_msg=column)
 
+    # SHA-256 of mix_grid.csv, sigma2_trace.csv and draws.txt.  Recorded with
+    # numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (Haswell kernels); another
+    # numpy/BLAS build may round a dot product differently in the last bit
+    # and then needs its own values.
+    GOLDEN = {
+        "1": (
+            "b757319825d7735c2b53139f1ab74adb1d8c8f49c50bcbcff9dfd87508d380bf",
+            "f3e96e4f7461b3f0cf0ce94b4a79aea50a926c75eae01820d82dcb97fd48a343",
+            "aba037c05091630f0e17c96c71e6032bf4512b01bd4181347941169db2257d92",
+        ),
+        "2": (
+            "cc7e6524ea42291aa315adc8b24fb1f2a3dc14c07e28d558ffcb6f8d4032e671",
+            "254439af4011f128994d63b2768dba38837396712c3083c3f9b1514d41cce1db",
+            "574b8edb80f448b5efcce296f6a6ec9690b0cb55c2f89611732f9148933486ff",
+        ),
+    }
+
+    @pytest.mark.parametrize("chains", ["1", "2"])
+    def test_golden_bytes(self, mini_cfg, tmp_path, chains):
+        # A refactor that changes any RNG call, row order or float sum of
+        # the mix path changes these bytes.
+        out = tmp_path / "runs"
+        args = ["mix", "--config", str(mini_cfg), "--out", str(out), "--chains", chains]
+        assert main(args) == 0
+        files = ("mix_grid.csv", "sigma2_trace.csv", "draws.txt")
+        digests = tuple(
+            hashlib.sha256((out / "mini" / f).read_bytes()).hexdigest() for f in files
+        )
+        assert digests == self.GOLDEN[chains]
+
     def test_mix_on_2d_problem(self, mini_2d_cfg, tmp_path):
         out = tmp_path / "runs"
         assert main(["mix", "--config", str(mini_2d_cfg), "--out", str(out)]) == 0
@@ -388,6 +433,7 @@ class TestConfigErrors:
             ("cutpoint_method", "foo", []),
             ("chains", "0", []),
             ("chains", "1", ["--chains", "-1"]),
+            pytest.param("lambda_match", "mean\nnu = 2", [], id="lambda_match-mean-nu-2"),
         ],
     )
     def test_bad_sampler_value(self, tmp_path, capsys, key, value, args):
@@ -409,10 +455,6 @@ class TestBenchmarkHooks:
     def test_traced_mix_reports_layer_counts(self, mini_cfg, tmp_path):
         # perfbench/trace_child.py patches sampler and tree internals by name;
         # a renamed or reshaped one breaks the traced benchmark run.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
         metrics = tmp_path / "metrics.json"
         argv = [
             sys.executable,
@@ -423,9 +465,21 @@ class TestBenchmarkHooks:
             str(metrics),
         ]
         proc = subprocess.run(
-            argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
+            argv, env=src_env(), cwd=tmp_path, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
         layers = json.loads(metrics.read_text())
         for name in ("trees.evaluate.calls", "trees.encode.calls", "node_model.log_ml.calls"):
             assert layers[name] > 0, name
+
+
+class TestImports:
+    def test_cli_import_skips_scipy_integrate(self):
+        # Only the phi4 truth integrates, so no other run should pay for
+        # importing scipy.integrate.
+        code = "import sys, mixtrees.cli; assert 'scipy.integrate' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

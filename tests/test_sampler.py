@@ -1,9 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mixtrees import sampler as sampler_module
 from mixtrees.dataset import Dataset
 from mixtrees.node_model import NodeData, leaf_posterior, log_marginal_likelihood
 from mixtrees.sampler import (
@@ -23,22 +27,27 @@ from mixtrees.trees import CutpointGrid, Tree, log_tree_prior
 
 
 def make_problem(n=12, k=2, seed=0, n_grid=15):
-    """Small synthetic mixing problem with smooth model curves."""
+    """Small synthetic mixing problem with smooth model curves.
+
+    ``k`` takes the first k of three models; y mixes the first two.
+    """
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, n)
     f1 = 1.0 + 0.5 * x
     f2 = 2.0 - x
+    f3 = 0.5 + x ** 2
     w_true = np.column_stack([1.0 / (1.0 + np.exp(10 * (x - 0.5))), np.zeros(n)])
     w_true[:, 1] = 1.0 - w_true[:, 0]
     y = f1 * w_true[:, 0] + f2 * w_true[:, 1] + rng.normal(0, 0.05, n)
     grid = np.linspace(0.0, 1.0, n_grid)
     g1 = 1.0 + 0.5 * grid
     g2 = 2.0 - grid
+    g3 = 0.5 + grid ** 2
     data = Dataset(inputs=x, outputs=y, noise_sd=0.05, seed=seed)
     ps = PredictionSet(
-        means=np.column_stack([f1, f2])[:, :k],
+        means=np.column_stack([f1, f2, f3])[:, :k],
         grid=grid,
-        grid_means=np.column_stack([g1, g2])[:, :k],
+        grid_means=np.column_stack([g1, g2, g3])[:, :k],
     )
     return data, ps
 
@@ -110,8 +119,8 @@ class TestMhBookkeeping:
 
         def total_log_ratio(prop):
             return (
-                chain._leaf_sets_log_ml(prop.new_leaf_sets, resid)
-                - chain._leaf_sets_log_ml(prop.old_leaf_sets, resid)
+                chain._leaf_sets_log_ml(0, prop.new_leaf_sets, resid)
+                - chain._leaf_sets_log_ml(0, prop.old_leaf_sets, resid)
                 + prop.log_prior_ratio
                 + prop.log_reverse
                 - prop.log_forward
@@ -151,8 +160,8 @@ class TestMhBookkeeping:
         hand_forward = np.log(1.0 / n_cuts)
         hand_reverse = np.log(1.0)  # one collapsible node after birth
         got = (
-            chain._leaf_sets_log_ml(prop.new_leaf_sets, resid)
-            - chain._leaf_sets_log_ml(prop.old_leaf_sets, resid)
+            chain._leaf_sets_log_ml(0, prop.new_leaf_sets, resid)
+            - chain._leaf_sets_log_ml(0, prop.old_leaf_sets, resid)
             + prop.log_prior_ratio
             + prop.log_reverse
             - prop.log_forward
@@ -176,6 +185,130 @@ class TestMhBookkeeping:
         accepted = [chain.mh_tree_update(0) for _ in range(100)]
         assert not any(accepted)
         assert chain.trees[0].n_leaves() == 1
+
+
+class ScriptedRng:
+    """A Generator whose ``random()`` replays a script, cycling.
+
+    In a tree update the first value picks the move (below 0.5: birth) and
+    the next is the MH uniform: 1e-300 accepts all but hopeless moves and
+    inf rejects every move.
+    """
+
+    def __init__(self, seed, script):
+        self.gen = np.random.default_rng(seed)
+        self.script = itertools.cycle(script)
+
+    def random(self):
+        return next(self.script)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+def fresh_gram(design):
+    cols = [design[:, i] for i in range(design.shape[1])]
+    return [float(cols[j] @ cols[i]) for i in range(len(cols)) for j in range(i + 1)]
+
+
+class TestLeafCaches:
+    @staticmethod
+    def problem(kind):
+        if kind == "2d":
+            return make_problem_2d()
+        data, ps = make_problem(n=16, seed=2)
+        if kind == "1d-informative":
+            x = data.inputs[:, 0]
+            ps.variances = np.column_stack([0.01 + x ** 2, 0.01 + (1 - x) ** 2])
+        return data, ps
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        kind=st.sampled_from(["1d", "1d-informative", "2d"]),
+        seed=st.integers(0, 2 ** 16),
+        script=st.lists(
+            st.sampled_from([1e-300, 0.25, 0.75, np.inf]), min_size=1, max_size=8
+        ),
+        moves=st.lists(
+            st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=25
+        ),
+    )
+    def test_live_leaf_stats_match_fresh_rows(self, kind, seed, script, moves):
+        # After any mix of accepted and rejected birth, death and relocation
+        # moves, tree j's cache holds exactly its leaves, each with the
+        # design, Gram dots and prior of a fresh F[rows] computation.
+        data, ps = self.problem(kind)
+        cfg = SamplerConfig(m=3, seed=seed, informative=kind == "1d-informative")
+        chain = Chain(data.inputs, data.outputs, ps, cfg, rng=ScriptedRng(seed, script))
+        chain.gibbs_sweep(structure=False)
+        for j, relocate in moves:
+            if relocate:
+                chain.mh_rule_change(j)
+            else:
+                chain.mh_tree_update(j)
+            for t, tree in enumerate(chain.trees):
+                rows = tree.node_rows(chain.X)
+                leaf_rows = [rows[i] for i in tree.leaf_nodes()]
+                assert set(chain._live[t]) == {idx.tobytes() for idx in leaf_rows}
+                for idx in leaf_rows:
+                    design, gram, prior = chain._live[t][idx.tobytes()]
+                    np.testing.assert_array_equal(design, chain.F[idx])
+                    assert gram == fresh_gram(chain.F[idx])
+                    fresh_prior = chain.leaf_prior_for(idx)
+                    np.testing.assert_array_equal(prior.mean, fresh_prior.mean)
+
+    @pytest.mark.parametrize("move", ["birth", "death", "change"])
+    def test_rejected_update_factors_each_row_set_once(self, move, monkeypatch):
+        # The residuals and sigma2 are fixed for the whole update, so the
+        # redraw after a rejected proposal reuses the factors of the scored
+        # old leaves, and a leaf a relocation leaves alone is scored once.
+        data, ps = make_problem_2d()
+        rng = ScriptedRng(5, [1e-300])
+        cfg = SamplerConfig(m=2, seed=5)
+        chain = Chain(data.inputs, data.outputs, ps, cfg, rng=rng)
+        for _ in range(6):  # accepted births grow tree 0
+            chain.mh_tree_update(0)
+        assert chain.trees[0].n_leaves() >= 3
+
+        props, factored = [], []
+        name = {"birth": "propose_birth", "death": "propose_death",
+                "change": "propose_rule_change"}[move]
+        propose, factor = getattr(sampler_module, name), sampler_module._factor
+
+        def recorded_propose(*args):
+            props.append(propose(*args))
+            return props[-1]
+
+        def counted_factor(resid, *args):
+            factored.append(resid.tobytes())
+            return factor(resid, *args)
+
+        monkeypatch.setattr(sampler_module, name, recorded_propose)
+        monkeypatch.setattr(sampler_module, "_factor", counted_factor)
+        for _ in range(50):
+            props.clear()
+            factored.clear()
+            if move == "change":
+                rng.script = itertools.cycle([np.inf])
+                assert not chain.mh_rule_change(0)
+            else:
+                rng.script = iter([0.25 if move == "birth" else 0.75, np.inf])
+                assert not chain.mh_tree_update(0)
+            if props[-1].valid:
+                break
+        else:
+            pytest.fail(f"no valid {move} proposal")
+        prop, tree = props[-1], chain.trees[0]
+        rows = tree.node_rows(chain.X)
+        row_sets = {
+            idx.tobytes()
+            for idx in prop.old_leaf_sets
+            + prop.new_leaf_sets
+            + [rows[i] for i in tree.leaf_nodes()]
+        }
+        assert len(factored) == len(set(factored)) == len(row_sets)
 
 
 class TestGibbsSweep:
@@ -220,10 +353,11 @@ class TestGibbsSweep:
         fit_bmm(data, ps, cfg, callback=check)
         assert worst < 1e-10
 
-    def test_fixed_structure_reduction_matches_conjugate_posterior(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fixed_structure_reduction_matches_conjugate_posterior(self, k):
         # Structure moves off, one root tree, fixed sigma2: the leaf draws
         # are iid from the analytic conjugate posterior.
-        data, ps = make_problem()
+        data, ps = make_problem(k=k)
         sigma2 = 0.05 ** 2
         cfg = SamplerConfig(
             m=1,
@@ -235,7 +369,7 @@ class TestGibbsSweep:
             fixed_sigma2=sigma2,
         )
         chain = Chain(data.inputs, data.outputs, ps, cfg)
-        draws = np.empty((cfg.n_keep, 2))
+        draws = np.empty((cfg.n_keep, k))
         for s in range(cfg.n_burn + cfg.n_keep):
             chain.gibbs_sweep()
             if s >= cfg.n_burn:
@@ -244,13 +378,14 @@ class TestGibbsSweep:
         mean, cov = leaf_posterior(nd, chain.base_prior, sigma2)
         mc_se = np.sqrt(np.diag(cov) / cfg.n_keep)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 3 * mc_se)
-        np.testing.assert_allclose(np.cov(draws.T), cov, rtol=0.1)
+        np.testing.assert_allclose(np.atleast_2d(np.cov(draws.T)), cov, rtol=0.1)
 
-    def test_frozen_chain_is_exactly_conjugate_linear_regression_gibbs(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_frozen_chain_is_exactly_conjugate_linear_regression_gibbs(self, k):
         # One root-only tree with structure moves off consumes the same rng
         # stream as a hand-coded Bayesian linear regression Gibbs sampler,
         # so the two must agree draw for draw.
-        data, ps = make_problem()
+        data, ps = make_problem(k=k)
         cfg = SamplerConfig(
             m=1, k=1.5, nu=6.0, lam=0.02, n_burn=0, n_keep=1, seed=77,
             structure_moves=False,
@@ -270,11 +405,11 @@ class TestGibbsSweep:
         sigma2 = max(pilot_sigma2(F, y), 1e-12)
         mu_hand, s2_hand = [], []
         for _ in range(25):
-            prec = F.T @ F / sigma2 + np.eye(2) / tau ** 2
+            prec = F.T @ F / sigma2 + np.eye(k) / tau ** 2
             b = beta / tau ** 2 + F.T @ y / sigma2
             L = np.linalg.cholesky(prec)
             mean = np.linalg.solve(prec, b)
-            mu = mean + np.linalg.solve(L.T, rng.standard_normal(2))
+            mu = mean + np.linalg.solve(L.T, rng.standard_normal(k))
             sse = float(np.sum((y - F @ mu) ** 2))
             nu_post = data.n + 6.0
             lam_post = (sse + 6.0 * 0.02) / nu_post
