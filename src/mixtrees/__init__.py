@@ -32,7 +32,6 @@ from .trees import (
     CutpointGrid,
     Proposal,
     Tree,
-    TreePriorConfig,
     log_tree_prior,
     propose_birth,
     propose_death,

@@ -346,12 +346,14 @@ def cmd_fit_eft(cfg: ExperimentConfig, out_dir: Path) -> None:
         print(f"wrote {path}")
 
 
-def _truth_on_grid(cfg: ExperimentConfig, grid: np.ndarray):
+def _grid_truth_columns(cfg: ExperimentConfig, grid: np.ndarray):
+    """Grid columns, then the true system on the grid when the config names one."""
+    names, cols = _grid_columns(grid)
     try:
         system, _ = cfg.system()
     except ConfigError:
-        return None
-    return np.array([system(*row) for row in grid])
+        return names, cols
+    return names + ["truth"], cols + [np.array([system(*row) for row in grid])]
 
 
 def _summary_lines(meta: dict, grid_cols, sigma2: np.ndarray) -> list[str]:
@@ -407,13 +409,7 @@ def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=Non
         "seed": scfg.seed,
         "chains": chains,
     }
-    gnames, gcols = _grid_columns(grid)
-    header = list(gnames)
-    cols = list(gcols)
-    truth = _truth_on_grid(cfg, grid)
-    if truth is not None:
-        header.append("truth")
-        cols.append(truth)
+    header, cols = _grid_truth_columns(cfg, grid)
     header += ["mean", "lo95", "hi95"]
     cols += [summary.mean, summary.lo, summary.hi]
     for i, name in enumerate(names):
@@ -452,18 +448,15 @@ def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=Non
 
 
 def cmd_bma(cfg: ExperimentConfig, out_dir: Path) -> None:
+    scfg = cfg.sampler_config()
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
     names, train_mean, _, grid_mean, _, _ = cfg.model_predictions(data, grid)
-    nu = cfg._get("sampler", "nu", float, 10.0)
-    lam_raw = cfg._get("sampler", "lambda", str, "auto")
-    lam = (
-        calibrate_sigma2_prior(train_mean, data.outputs, nu)
-        if lam_raw.strip().lower() == "auto"
-        else float(lam_raw)
-    )
+    lam = scfg.lam
+    if lam is None:
+        lam = calibrate_sigma2_prior(train_mean, data.outputs, scfg.nu, scfg.lam_match)
     result = baselines.run_bma(
-        data.outputs, train_mean, grid, grid_mean, NoisePrior(nu, lam)
+        data.outputs, train_mean, grid, grid_mean, NoisePrior(scfg.nu, lam)
     )
     meta = {"config_hash": cfg.config_hash, "seed": cfg.dataset_seed()}
     write_csv(
@@ -472,13 +465,7 @@ def cmd_bma(cfg: ExperimentConfig, out_dir: Path) -> None:
         [np.arange(len(names)), result.log_evidences, result.posterior_probs],
         dict(meta, models=",".join(names)),
     )
-    gnames, gcols = _grid_columns(grid)
-    header = list(gnames)
-    cols = list(gcols)
-    truth = _truth_on_grid(cfg, grid)
-    if truth is not None:
-        header.append("truth")
-        cols.append(truth)
+    header, cols = _grid_truth_columns(cfg, grid)
     write_csv(
         out_dir / "bma_curve.csv", header + ["mean"], cols + [result.mean], meta
     )

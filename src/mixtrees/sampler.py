@@ -35,7 +35,6 @@ from .node_model import (
 from .trees import (
     CutpointGrid,
     Tree,
-    TreePriorConfig,
     propose_birth,
     propose_death,
     propose_rule_change,
@@ -83,11 +82,7 @@ class PredictionSet:
 
 @dataclass
 class SamplerConfig:
-    """Chain settings; ``lam=None`` calibrates the variance prior from data.
-
-    ``structure_moves=False`` and ``fixed_sigma2`` freeze parts of the
-    sampler so reduced cases can be compared against closed forms.
-    """
+    """Chain settings; ``lam=None`` calibrates the variance prior from data."""
 
     m: int = 10
     k: float = 5.0
@@ -102,8 +97,6 @@ class SamplerConfig:
     cutpoints_per_dim: int = 100
     cutpoint_method: str = "uniform"
     min_leaf_n: int = 1
-    structure_moves: bool = True
-    fixed_sigma2: Optional[float] = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -145,7 +138,6 @@ class Chain:
         self.F = ps.means
         self.n, self.n_models = self.F.shape
 
-        self.tree_cfg = TreePriorConfig(min_leaf_n=cfg.min_leaf_n)
         self.grid = CutpointGrid.from_data(
             self.X, cfg.cutpoints_per_dim, cfg.cutpoint_method
         )
@@ -170,10 +162,7 @@ class Chain:
             lam = calibrate_sigma2_prior(self.F, self.y, cfg.nu, cfg.lam_match)
         self.noise = NoisePrior(shape=cfg.nu, scale=lam)
 
-        if cfg.fixed_sigma2 is not None:
-            self.sigma2 = float(cfg.fixed_sigma2)
-        else:
-            self.sigma2 = max(pilot_sigma2(self.F, self.y), 1e-12)
+        self.sigma2 = max(pilot_sigma2(self.F, self.y), 1e-12)
 
         self.trees = [Tree.root_only(self.grid, root_mean) for _ in range(cfg.m)]
         self.fits = np.stack(
@@ -225,13 +214,14 @@ class Chain:
         resid = self.tree_residuals(j)
         self._factors = {}  # residuals and sigma2 now stay fixed until the redraw
         accepted = False
-        if structure and self.cfg.structure_moves:
+        if structure:
             self.n_proposals += 1
-            if self.rng.random() < BIRTH_PROB:
-                prop = propose_birth(self.trees[j], self.X, self.tree_cfg, self.rng)
+            tree, rng = self.trees[j], self.rng
+            if rng.random() < BIRTH_PROB:
+                prop = propose_birth(tree, self.X, self.cfg.min_leaf_n, rng)
                 log_kind = np.log1p(-BIRTH_PROB) - np.log(BIRTH_PROB)
             else:
-                prop = propose_death(self.trees[j], self.X, self.tree_cfg, self.rng)
+                prop = propose_death(tree, self.X, rng)
                 log_kind = np.log(BIRTH_PROB) - np.log1p(-BIRTH_PROB)
             accepted = self._try_accept(j, prop, resid, log_kind)
         self._redraw_leaves(j, resid)
@@ -242,7 +232,7 @@ class Chain:
         resid = self.tree_residuals(j)
         self._factors = {}
         self.n_proposals += 1
-        prop = propose_rule_change(self.trees[j], self.X, self.tree_cfg, self.rng)
+        prop = propose_rule_change(self.trees[j], self.X, self.cfg.min_leaf_n, self.rng)
         accepted = self._try_accept(j, prop, resid, 0.0)
         self._redraw_leaves(j, resid)
         return accepted
@@ -299,13 +289,16 @@ class Chain:
         and death alone cannot move a load-bearing cut: without it the
         chain freezes in whatever split locations it grew first and cannot
         recover from noise-variance excursions.  Kept draws come from
-        birth/death alone, so relocation runs only during warmup.
+        birth/death alone, so relocation runs only during warmup.  Tests
+        freeze the kernel with the same flags: ``structure=False`` keeps
+        every tree's structure, and ``hold_sigma2`` keeps a ``sigma2`` set
+        on the chain.
         """
         for j in range(self.cfg.m):
             self.mh_tree_update(j, structure=structure)
-            if warmup and structure and self.cfg.structure_moves:
+            if warmup and structure:
                 self.mh_rule_change(j)
-        if self.cfg.fixed_sigma2 is None and not hold_sigma2:
+        if not hold_sigma2:
             self.sigma2 = sample_sigma2(self.total_sse, self.n, self.noise, self.rng)
 
 

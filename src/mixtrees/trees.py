@@ -3,10 +3,11 @@
 Trees partition the input space with rules of the form ``x_v < c`` (ties go
 right) drawn from fixed per-dimension cutpoint grids.  Each terminal node
 carries a K-vector.  The prior makes a node internal with probability
-``base * (1 + depth)^-power`` and picks rules uniformly from the cutpoints
-still valid under the node's ancestors, which keeps trees shallow.  The
-sampler explores structures with paired birth/death proposals whose forward
-and reverse probabilities are recorded for the acceptance ratio.
+``SPLIT_BASE * (1 + depth)^-SPLIT_POWER`` and picks rules uniformly from
+the cutpoints still valid under the node's ancestors, which keeps trees
+shallow.  The sampler explores structures with paired birth/death
+proposals whose forward and reverse probabilities are recorded for the
+acceptance ratio.
 
 A tree is a set of parallel node lists in pre-order.  It keeps, per node,
 the index range of still-valid cutpoints and the training rows that reach
@@ -22,26 +23,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 
-@dataclass
-class TreePriorConfig:
-    """Tree-generating prior and proposal settings."""
-
-    split_base: float = 0.95
-    split_power: float = 2.0
-    min_leaf_n: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.split_base < 1.0:
-            raise ValueError("split_base must be in (0, 1)")
-        if self.split_power < 0.0:
-            raise ValueError("split_power must be nonnegative")
+SPLIT_BASE = 0.95  # P(split) at the root
+SPLIT_POWER = 2.0  # how fast P(split) decays with depth
 
 
-def split_probability(depth: int, cfg: TreePriorConfig) -> float:
+def split_probability(depth: int) -> float:
     """Probability that a node at ``depth`` is internal."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    return cfg.split_base * (1.0 + depth) ** (-cfg.split_power)
+    return SPLIT_BASE * (1.0 + depth) ** (-SPLIT_POWER)
 
 
 class CutpointGrid:
@@ -95,25 +85,23 @@ class Tree:
     """A decision tree over a fixed cutpoint grid with K-vector leaves.
 
     The nodes are stored in pre-order as parallel lists.  Node 0 is the
-    root.  An internal node ``i`` splits on ``x[var[i]] < cut[i]`` with its
-    left child at ``left[i] == i + 1`` and its right child at ``right[i]``;
-    a leaf has ``var``, ``left`` and ``right`` equal to -1 and a NaN
-    ``cut``.  ``values[i]`` is the K-vector of leaf ``i`` (internal nodes
-    keep a stale one).  With a grid, ``spans[i][v]`` is the half-open index
-    range of ``grid.cuts[v]`` still valid under node ``i``'s ancestors.
+    root.  An internal node ``i`` splits on ``x[var[i]] < cut[i]``; pre-order
+    puts its left child at ``i + 1`` and its right child at ``right[i]``.  A
+    leaf has ``var`` and ``right`` equal to -1 and a NaN ``cut``.
+    ``values[i]`` is the K-vector of leaf ``i`` (internal nodes keep a
+    stale one).  With a grid, ``spans[i][v]`` is the half-open index range
+    of ``grid.cuts[v]`` still valid under node ``i``'s ancestors.
 
     :meth:`node_rows` caches the rows of one X that reach each node; the
     structure moves keep that cache up to date, re-routing only the rows
     below the node they change.
     """
 
-    _NODE_LISTS = (
-        "var", "cut", "left", "right", "depths", "values", "spans", "_rows"
-    )
+    _NODE_LISTS = ("var", "cut", "right", "depths", "values", "spans", "_rows")
 
-    def __init__(self, grid, var, cut, left, right, depths, values):
+    def __init__(self, grid, var, cut, right, depths, values):
         self.grid = grid
-        self.var, self.cut, self.left, self.right = var, cut, left, right
+        self.var, self.cut, self.right = var, cut, right
         self.depths, self.values = depths, values
         self.spans = None
         if grid is not None:
@@ -125,7 +113,7 @@ class Tree:
     @classmethod
     def root_only(cls, grid: CutpointGrid, value) -> "Tree":
         value = np.asarray(value, dtype=float)
-        return cls(grid, [-1], [np.nan], [-1], [-1], [0], [value])
+        return cls(grid, [-1], [np.nan], [-1], [0], [value])
 
     def copy(self) -> "Tree":
         """A tree with its own node lists (leaf vectors and rows are shared)."""
@@ -139,20 +127,21 @@ class Tree:
     # ---- traversal -----------------------------------------------------
 
     def leaf_nodes(self) -> list[int]:
-        return [i for i, c in enumerate(self.left) if c < 0]
+        return [i for i, v in enumerate(self.var) if v < 0]
 
     def leaves(self) -> list[Leaf]:
         return [Leaf(i, self.values[i]) for i in self.leaf_nodes()]
 
     def internal_nodes(self) -> list[int]:
-        return [i for i, c in enumerate(self.left) if c >= 0]
+        return [i for i, v in enumerate(self.var) if v >= 0]
 
     def nog_nodes(self) -> list[int]:
         """Internal nodes whose children are both leaves (collapsible)."""
-        left, right = self.left, self.right
+        # A leaf left child at i + 1 puts the right child at i + 2.
+        var = self.var
         return [
-            i for i, c in enumerate(left)
-            if c >= 0 and left[c] < 0 and left[right[i]] < 0
+            i for i in range(len(var) - 2)
+            if var[i] >= 0 and var[i + 1] < 0 and var[i + 2] < 0
         ]
 
     def n_leaves(self) -> int:
@@ -186,7 +175,7 @@ class Tree:
             hi_l, lo_r = hi.copy(), lo.copy()
             hi_l[v] = min(hi[v], c)
             lo_r[v] = max(lo[v], c)
-            bounds[self.left[i]], bounds[self.right[i]] = (lo, hi_l), (lo_r, hi)
+            bounds[i + 1], bounds[self.right[i]] = (lo, hi_l), (lo_r, hi)
         return bounds
 
     # ---- data assignment -------------------------------------------------
@@ -207,34 +196,40 @@ class Tree:
     def _route(self, X, rows, first, stop):
         # Pre-order: every parent's rows are set before its children's.
         for i in range(first, stop):
-            c = self.left[i]
-            if c >= 0:
+            if self.var[i] >= 0:
                 idx = rows[i]
                 mask = X[idx, self.var[i]] < self.cut[i]
-                rows[c], rows[self.right[i]] = idx[mask], idx[~mask]
+                rows[i + 1], rows[self.right[i]] = idx[mask], idx[~mask]
         return rows
 
-    def _refresh(self, first, stop):
+    def _refresh(self, first, stop) -> bool:
         """Recompute the spans and cached rows of the children of nodes
-        ``first .. stop - 1``, in pre-order."""
+        ``first .. stop - 1``, in pre-order.
+
+        Returns whether the rule of every one of those nodes cuts strictly
+        inside its node's interval: its cut is a cutpoint in the node's span.
+        """
+        inside = True
         if self.spans is not None:
             for i in range(first, stop):
-                if self.left[i] < 0:
+                v = self.var[i]
+                if v < 0:
                     continue
-                v, cuts = self.var[i], self.grid.cuts[self.var[i]]
-                lo, hi = self.spans[i][v]
+                cuts, (lo, hi) = self.grid.cuts[v], self.spans[i][v]
                 below = int(np.searchsorted(cuts, self.cut[i], "left"))
                 not_above = int(np.searchsorted(cuts, self.cut[i], "right"))
+                inside = inside and lo <= below < hi
                 left, right = list(self.spans[i]), list(self.spans[i])
                 left[v], right[v] = (lo, min(hi, below)), (max(lo, not_above), hi)
-                self.spans[self.left[i]] = tuple(left)
+                self.spans[i + 1] = tuple(left)
                 self.spans[self.right[i]] = tuple(right)
         if self._rows is not None:
             self._route(self._X, self._rows, first, stop)
+        return inside
 
     def _subtree_end(self, i: int) -> int:
         """One past the last node of the subtree rooted at i."""
-        while self.left[i] >= 0:
+        while self.var[i] >= 0:
             i = self.right[i]
         return i + 1
 
@@ -245,12 +240,11 @@ class Tree:
     def _split(self, i: int, var: int, cut: float) -> None:
         """Turn leaf i into the rule ``x_var < cut`` over two copies of it."""
         k = i + 1
-        self.left = [c + 2 if c > i else c for c in self.left]
         self.right = [c + 2 if c > i else c for c in self.right]
         for lst in self._node_lists():
             lst[k:k] = [lst[i], lst[i]]
         self.depths[k] = self.depths[k + 1] = self.depths[i] + 1
-        self.var[i], self.cut[i], self.left[i], self.right[i] = var, cut, k, k + 1
+        self.var[i], self.cut[i], self.right[i] = var, cut, k + 1
         self._refresh(i, k)
 
     def _collapse(self, i: int) -> None:
@@ -259,9 +253,8 @@ class Tree:
         self.values[i] = 0.5 * (self.values[k] + self.values[k + 1])
         for lst in self._node_lists():
             del lst[k : k + 2]
-        self.left = [c - 2 if c > i else c for c in self.left]
         self.right = [c - 2 if c > i else c for c in self.right]
-        self.var[i], self.cut[i], self.left[i], self.right[i] = -1, np.nan, -1, -1
+        self.var[i], self.cut[i], self.right[i] = -1, np.nan, -1
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         """Leaf vector of every row of X, as an (n, K) array.
@@ -274,13 +267,13 @@ class Tree:
         n, d = X.shape
         node = np.zeros(n, dtype=np.intp)
         if len(self.var) > 1:
-            left = np.array(self.left)
-            right = np.where(left < 0, np.arange(left.size), self.right)
-            var, cut = np.maximum(self.var, 0), np.array(self.cut)
+            var = np.array(self.var)
+            right = np.where(var < 0, np.arange(var.size), self.right)
+            var, cut = np.maximum(var, 0), np.array(self.cut)
             flat, row_start = X.ravel(), np.arange(0, n * d, d)
             for _ in range(self.depth()):
                 go_left = flat.take(row_start + var.take(node)) < cut.take(node)
-                node = np.where(go_left, left.take(node), right.take(node))
+                node = np.where(go_left, node + 1, right.take(node))
         return np.array(self.values).take(node, axis=0)
 
     # ---- serialization -----------------------------------------------------
@@ -288,8 +281,8 @@ class Tree:
     def encode(self) -> str:
         """Deterministic pre-order text encoding of the tree."""
         parts = []
-        for i, c in enumerate(self.left):
-            if c < 0:
+        for i, v in enumerate(self.var):
+            if v < 0:
                 value = self.values[i]
                 vals = " ".join(f"{v:.17g}" for v in value)
                 parts.append(f"L {len(value)} {vals}")
@@ -301,14 +294,14 @@ class Tree:
     def decode(cls, text: str, grid: Optional[CutpointGrid] = None) -> "Tree":
         """Inverse of :meth:`encode`; without a grid the tree only evaluates."""
         tokens = text.split()
-        var, cut, left, right, depths, values = [], [], [], [], [], []
+        var, cut, right, depths, values = [], [], [], [], []
         waiting = []  # internal nodes whose right child is still to come
         pos = 0
         while pos < len(tokens):
             i = len(var)
             if i == 0:
                 depth = 0
-            elif left[i - 1] == i:  # left child of the node before it
+            elif var[i - 1] >= 0:  # left child of the internal node before it
                 depth = depths[i - 1] + 1
             elif waiting:
                 parent = waiting.pop()
@@ -322,13 +315,11 @@ class Tree:
                 values.append(np.array([float(t) for t in tokens[pos + 2 : stop]]))
                 var.append(-1)
                 cut.append(np.nan)
-                left.append(-1)
             elif tag == "I" and pos + 2 < len(tokens):
                 stop = pos + 3
                 values.append(None)
                 var.append(int(tokens[pos + 1]))
                 cut.append(float(tokens[pos + 2]))
-                left.append(i + 1)
                 waiting.append(i)
             elif tag in ("L", "I"):
                 break
@@ -342,20 +333,23 @@ class Tree:
         for i in reversed(range(len(var))):
             if values[i] is None:
                 values[i] = values[i + 1]  # stale, like any internal node's
-        return cls(grid, var, cut, left, right, depths, values)
+        return cls(grid, var, cut, right, depths, values)
 
 
-def log_tree_prior(tree: Tree, cfg: TreePriorConfig) -> float:
+def _log_rule_prob(tree: Tree, i: int) -> float:
+    """Log prior probability of internal node i's rule given its ancestors."""
+    return -np.log(len(tree.usable_vars(i))) - np.log(tree.n_cuts(i, tree.var[i]))
+
+
+def log_tree_prior(tree: Tree) -> float:
     """Log prior of a tree: node-type terms plus uniform rule probabilities."""
     total = 0.0
     for i, depth in enumerate(tree.depths):
-        p = split_probability(depth, cfg)
-        if tree.left[i] < 0:
+        p = split_probability(depth)
+        if tree.var[i] < 0:
             total += np.log1p(-p)
         else:
-            n_vars = len(tree.usable_vars(i))
-            n_cuts = tree.n_cuts(i, tree.var[i])
-            total += np.log(p) - np.log(n_vars) - np.log(n_cuts)
+            total += np.log(p) + _log_rule_prob(tree, i)
     return float(total)
 
 
@@ -373,9 +367,9 @@ class Proposal:
     new_leaf_sets: list = field(default_factory=list)
 
 
-def _birth_prior_terms(depth: int, n_vars: int, n_cuts: int, cfg) -> float:
-    p_here = split_probability(depth, cfg)
-    p_child = split_probability(depth + 1, cfg)
+def _birth_prior_terms(depth: int, n_vars: int, n_cuts: int) -> float:
+    p_here = split_probability(depth)
+    p_child = split_probability(depth + 1)
     return (
         np.log(p_here)
         + 2.0 * np.log1p(-p_child)
@@ -393,7 +387,7 @@ def _draw_rule(tree: Tree, i: int, usable_vars, rng):
 
 
 def propose_birth(
-    tree: Tree, X: np.ndarray, cfg: TreePriorConfig, rng: np.random.Generator
+    tree: Tree, X: np.ndarray, min_leaf_n: int, rng: np.random.Generator
 ) -> Proposal:
     """Grow a uniformly chosen leaf with a uniformly chosen rule.
 
@@ -411,15 +405,13 @@ def propose_birth(
     idx = tree.node_rows(X)[leaf]
     mask = X[idx, var] < cut
     idx_left, idx_right = idx[mask], idx[~mask]
-    if min(idx_left.size, idx_right.size) < cfg.min_leaf_n:
+    if min(idx_left.size, idx_right.size) < min_leaf_n:
         return Proposal("birth", valid=False)
 
     log_forward = -(
         np.log(len(growable)) + np.log(len(usable_vars)) + np.log(n_cuts)
     )
-    log_prior_ratio = _birth_prior_terms(
-        tree.depths[leaf], len(usable_vars), n_cuts, cfg
-    )
+    log_prior_ratio = _birth_prior_terms(tree.depths[leaf], len(usable_vars), n_cuts)
     new = tree.copy()
     new._split(leaf, var, cut)
     log_reverse = -np.log(len(new.nog_nodes()))
@@ -435,9 +427,7 @@ def propose_birth(
     )
 
 
-def propose_death(
-    tree: Tree, X: np.ndarray, cfg: TreePriorConfig, rng: np.random.Generator
-) -> Proposal:
+def propose_death(tree: Tree, X: np.ndarray, rng: np.random.Generator) -> Proposal:
     """Collapse a uniformly chosen internal node whose children are leaves."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     nogs = tree.nog_nodes()
@@ -455,7 +445,7 @@ def propose_death(
     log_reverse = -(
         np.log(len(new.growable_leaves())) + np.log(usable_vars) + np.log(n_cuts)
     )
-    log_prior_ratio = -_birth_prior_terms(new.depths[node], usable_vars, n_cuts, cfg)
+    log_prior_ratio = -_birth_prior_terms(new.depths[node], usable_vars, n_cuts)
     return Proposal(
         "death",
         valid=True,
@@ -469,14 +459,21 @@ def propose_death(
 
 
 def propose_rule_change(
-    tree: Tree, X: np.ndarray, cfg: TreePriorConfig, rng: np.random.Generator
+    tree: Tree, X: np.ndarray, min_leaf_n: int, rng: np.random.Generator
 ) -> Proposal:
-    """Redraw the rule of a uniformly chosen internal node (symmetric move).
+    """Redraw the rule of a uniformly chosen internal node.
 
     Used to relocate cuts during sampler warmup, where birth/death pairs
     cannot cross the valley of removing a load-bearing split.  The proposal
-    is symmetric in (var, cut), so only the tree-prior difference (from
-    descendants' rule sets) and the likelihood enter the acceptance ratio.
+    is invalid when a leaf would get fewer than ``min_leaf_n`` rows or a
+    rule in the subtree would no longer cut inside its node's interval.
+    The prior ratio sums the rule terms of every internal node of the
+    subtree, the moved node's own ``-log n_cuts`` included, while
+    ``log_forward`` and ``log_reverse`` are both 0.  The move draws the new
+    cut among n_cuts(new var) and the reverse among n_cuts(old var), so
+    with two or more usable variables the ratio is off by
+    n_cuts(old var) / n_cuts(new var).  Kept draws come from birth/death
+    alone, so this bias stays in warmup.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     internals = tree.internal_nodes()
@@ -489,17 +486,17 @@ def propose_rule_change(
     old_sets = [rows[i] for i in tree.leaf_nodes()]
     new = tree.copy()
     new.var[node], new.cut[node] = var, cut
-    new._refresh(node, new._subtree_end(node))
+    end = new._subtree_end(node)
+    inside = new._refresh(node, end)
     new_sets = [new._rows[i] for i in new.leaf_nodes()]
-    if any(idx.size < cfg.min_leaf_n for idx in new_sets):
+    if not inside or any(idx.size < min_leaf_n for idx in new_sets):
         return Proposal("change", valid=False)
-    # Descendant rules must stay usable under the new ancestor interval.
-    bounds = new.node_bounds()
-    for i in new.internal_nodes():
-        lo, hi = bounds[i]
-        if not lo[new.var[i]] < new.cut[i] < hi[new.var[i]]:
-            return Proposal("change", valid=False)
-    log_prior_ratio = log_tree_prior(new, cfg) - log_tree_prior(tree, cfg)
+    # Only the rules of the subtree change their ancestor intervals.
+    log_prior_ratio = sum(
+        _log_rule_prob(new, i) - _log_rule_prob(tree, i)
+        for i in range(node, end)
+        if new.var[i] >= 0
+    )
     return Proposal(
         "change",
         valid=True,
@@ -513,7 +510,7 @@ def propose_rule_change(
 
 
 def sample_tree_from_prior(
-    grid: CutpointGrid, cfg: TreePriorConfig, rng: np.random.Generator, k: int = 1
+    grid: CutpointGrid, rng: np.random.Generator, k: int = 1
 ) -> Tree:
     """Draw a tree structure from the generative prior (zero leaf vectors)."""
     tree = Tree.root_only(grid, np.zeros(k))
@@ -522,7 +519,7 @@ def sample_tree_from_prior(
     i = 0
     while i < len(tree.var):
         usable = tree.usable_vars(i)
-        if usable and rng.random() < split_probability(tree.depths[i], cfg):
+        if usable and rng.random() < split_probability(tree.depths[i]):
             var, cut, _ = _draw_rule(tree, i, usable, rng)
             tree._split(i, var, cut)
         i += 1

@@ -229,7 +229,7 @@ class TestCriterion5ConjugacyOracles:
 
 class TestCriterion6McmcExactness:
     def test_structure_frequencies_match_enumeration(self):
-        # 2 training points, 2 cutpoints, 1 tree, fixed sigma2: the state
+        # 2 training points, 2 cutpoints, 1 tree, sigma2 held: the state
         # space is {root, split@c1, split@c2} and the posterior can be
         # enumerated exactly.
         rng = np.random.default_rng(0)
@@ -246,14 +246,13 @@ class TestCriterion6McmcExactness:
             seed=3,
             cutpoints_per_dim=2,
             min_leaf_n=1,
-            fixed_sigma2=sigma2,
         )
         chain = Chain(X, y, ps, cfg)
+        chain.sigma2 = sigma2
         cuts = chain.grid.cuts[0]
         assert cuts.size == 2
 
         lp = chain.base_prior
-        tcfg = chain.tree_cfg
 
         def state_log_post(cut):
             from mixtrees.trees import Tree
@@ -268,7 +267,7 @@ class TestCriterion6McmcExactness:
                 log_marginal_likelihood(NodeData(y[idx], F[idx]), lp, sigma2)
                 for idx in sets
             )
-            return log_tree_prior(tree, tcfg) + log_ml
+            return log_tree_prior(tree) + log_ml
 
         log_posts = np.array(
             [state_log_post(None), state_log_post(cuts[0]), state_log_post(cuts[1])]
@@ -279,9 +278,9 @@ class TestCriterion6McmcExactness:
         n_sweeps = 1_000_000
         counts = np.zeros(3)
         for _ in range(n_sweeps):
-            chain.gibbs_sweep()
+            chain.gibbs_sweep(hold_sigma2=True)
             tree = chain.trees[0]
-            if tree.left[0] < 0:
+            if tree.var[0] < 0:
                 counts[0] += 1
             elif tree.cut[0] == cuts[0]:
                 counts[1] += 1

@@ -1,4 +1,5 @@
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from mixtrees.cli import ExperimentConfig, main, read_csv
 from mixtrees.dataset import read_table
-from mixtrees.sampler import load_draws, predict_from_archive
+from mixtrees.sampler import SamplerConfig, load_draws, predict_from_archive
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -380,6 +381,19 @@ yref_map = one""",
         _, _, wcols = read_csv(out / "mini" / "bma_weights.csv")
         np.testing.assert_allclose(wcols["weight"], [0.5, 0.5], atol=1e-12)
 
+    def test_lambda_match_mean_changes_log_evidence(self, tmp_path):
+        # bma reads [sampler] like mix does, so lambda_match reaches the
+        # calibrated variance prior.
+        evidence = {}
+        for match in ("mode", "mean"):
+            cfg = tmp_path / f"{match}.cfg"
+            cfg.write_text(with_sampler_setting("lambda_match", match))
+            out = tmp_path / match
+            assert main(["bma", "--config", str(cfg), "--out", str(out)]) == 0
+            _, _, wcols = read_csv(out / "mini" / "bma_weights.csv")
+            evidence[match] = wcols["log_evidence"]
+        assert np.all(evidence["mode"] != evidence["mean"])
+
 
 class TestReport:
     def test_report_matches_summary_and_is_stable(self, mini_cfg, tmp_path, capsys):
@@ -444,11 +458,50 @@ class TestConfigErrors:
         assert "error" in capsys.readouterr().err
         assert not (out / "mini" / "mix_grid.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("nu", "0"), ("lambda", "foo"), ("lambda_match", "foo")]
+    )
+    def test_bad_sampler_value_for_bma(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_sampler_setting(key, value))
+        out = tmp_path / "runs"
+        assert main(["bma", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (out / "mini" / "bma_weights.csv").exists()
+
     def test_config_hash_recorded_and_stable(self, mini_cfg):
         a = ExperimentConfig(mini_cfg)
         b = ExperimentConfig(mini_cfg)
         assert a.config_hash == b.config_hash
         assert len(a.config_hash) == 16
+
+
+class TestSamplerKeys:
+    # Every [sampler] key that feeds SamplerConfig, with a non-default value.
+    KEYS = {
+        "trees": "3", "k": "2.5", "informative": "true", "nu": "6",
+        "lambda": "0.3", "lambda_match": "mean", "n_burn": "7", "n_keep": "9",
+        "thin": "2", "seed": "11", "cutpoints": "20",
+        "cutpoint_method": "midpoints", "min_leaf_n": "3",
+    }
+
+    @staticmethod
+    def fields(tmp_path, settings):
+        path = tmp_path / "keys.cfg"
+        lines = "".join(f"{key} = {value}\n" for key, value in settings.items())
+        path.write_text(f"[experiment]\nname = keys\n\n[sampler]\n{lines}")
+        return dataclasses.asdict(ExperimentConfig(path).sampler_config())
+
+    def test_every_sampler_field_is_set_by_a_key(self, tmp_path):
+        # A field no key reaches is a setting only code can change.
+        base = self.fields(tmp_path, {})
+        reached = set()
+        for key, value in self.KEYS.items():
+            got = self.fields(tmp_path, {key: value})
+            changed = {name for name in got if got[name] != base[name]}
+            assert len(changed) == 1, (key, changed)
+            reached |= changed
+        assert reached == {f.name for f in dataclasses.fields(SamplerConfig)}
 
 
 class TestBenchmarkHooks:

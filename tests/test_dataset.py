@@ -39,6 +39,19 @@ class TestTrueSystemPhi4:
         vals = [true_system_phi4(x) for x in xs]
         assert np.all(np.diff(vals) < 0)
 
+    def test_tails_beyond_ten_are_below_half_an_ulp(self):
+        # The quadrature stops at +-10; each tail it leaves out is too small
+        # to change the rounded integral.
+        from scipy.integrate import quad
+
+        for x in np.geomspace(1e-8, 1e3, 60):
+            x2 = float(x) ** 2
+            tail, _ = quad(
+                lambda u: np.exp(-0.5 * u * u - x2 * u ** 4), 10.0, np.inf, epsabs=1e-30
+            )
+            core = true_system_phi4(x)
+            assert 0.0 <= tail < np.spacing(core) / 2
+
 
 class TestTrueSystem2d:
     def test_known_points(self):

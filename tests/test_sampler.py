@@ -63,7 +63,7 @@ def root_tree(grid, value):
 class TestTreeResiduals:
     def test_single_tree_with_zero_leaf_gives_y(self):
         data, ps = make_problem()
-        cfg = SamplerConfig(m=1, n_burn=1, n_keep=1, structure_moves=False)
+        cfg = SamplerConfig(m=1, n_burn=1, n_keep=1)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         chain.trees[0].values[0] = np.zeros(2)
         chain.fits[0] = 0.0
@@ -114,7 +114,7 @@ class TestMhBookkeeping:
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         resid = chain.tree_residuals(0)
         rng = np.random.default_rng(3)
-        birth = propose_birth(chain.trees[0], chain.X, chain.tree_cfg, rng)
+        birth = propose_birth(chain.trees[0], chain.X, cfg.min_leaf_n, rng)
         assert birth.valid
 
         def total_log_ratio(prop):
@@ -127,7 +127,7 @@ class TestMhBookkeeping:
             )
 
         forward = total_log_ratio(birth)
-        death = propose_death(birth.tree, chain.X, chain.tree_cfg, rng)
+        death = propose_death(birth.tree, chain.X, rng)
         backward = total_log_ratio(death)
         assert forward == pytest.approx(-backward, rel=1e-10)
 
@@ -140,7 +140,7 @@ class TestMhBookkeeping:
         from mixtrees.trees import propose_birth
 
         rng = np.random.default_rng(10)
-        prop = propose_birth(chain.trees[0], chain.X, chain.tree_cfg, rng)
+        prop = propose_birth(chain.trees[0], chain.X, cfg.min_leaf_n, rng)
         assert prop.valid
         old_tree, new_tree = chain.trees[0], prop.tree
 
@@ -153,9 +153,7 @@ class TestMhBookkeeping:
         hand_ml_old = log_marginal_likelihood(
             NodeData(resid, chain.F), lp, s2
         )
-        hand_prior = log_tree_prior(new_tree, chain.tree_cfg) - log_tree_prior(
-            old_tree, chain.tree_cfg
-        )
+        hand_prior = log_tree_prior(new_tree) - log_tree_prior(old_tree)
         n_cuts = old_tree.n_cuts(0, 0)
         hand_forward = np.log(1.0 / n_cuts)
         hand_reverse = np.log(1.0)  # one collapsible node after birth
@@ -355,23 +353,16 @@ class TestGibbsSweep:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fixed_structure_reduction_matches_conjugate_posterior(self, k):
-        # Structure moves off, one root tree, fixed sigma2: the leaf draws
+        # Structure moves off, one root tree, sigma2 held: the leaf draws
         # are iid from the analytic conjugate posterior.
         data, ps = make_problem(k=k)
         sigma2 = 0.05 ** 2
-        cfg = SamplerConfig(
-            m=1,
-            k=1.0,
-            n_burn=100,
-            n_keep=20_000,
-            seed=11,
-            structure_moves=False,
-            fixed_sigma2=sigma2,
-        )
+        cfg = SamplerConfig(m=1, k=1.0, n_burn=100, n_keep=20_000, seed=11)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
+        chain.sigma2 = sigma2
         draws = np.empty((cfg.n_keep, k))
         for s in range(cfg.n_burn + cfg.n_keep):
-            chain.gibbs_sweep()
+            chain.gibbs_sweep(structure=False, hold_sigma2=True)
             if s >= cfg.n_burn:
                 draws[s - cfg.n_burn] = chain.trees[0].values[0]
         nd = NodeData(residuals=data.outputs, design=ps.means)
@@ -387,13 +378,12 @@ class TestGibbsSweep:
         # so the two must agree draw for draw.
         data, ps = make_problem(k=k)
         cfg = SamplerConfig(
-            m=1, k=1.5, nu=6.0, lam=0.02, n_burn=0, n_keep=1, seed=77,
-            structure_moves=False,
+            m=1, k=1.5, nu=6.0, lam=0.02, n_burn=0, n_keep=1, seed=77
         )
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         mu_chain, s2_chain = [], []
         for _ in range(25):
-            chain.gibbs_sweep()
+            chain.gibbs_sweep(structure=False)
             mu_chain.append(chain.trees[0].values[0].copy())
             s2_chain.append(chain.sigma2)
 
@@ -498,19 +488,18 @@ class TestEvaluateWeights:
     def test_five_tree_ensemble_bruteforce(self):
         rng = np.random.default_rng(6)
         grid = CutpointGrid([np.linspace(0.1, 0.9, 9)])
-        from mixtrees.trees import TreePriorConfig, sample_tree_from_prior
+        from mixtrees.trees import sample_tree_from_prior
 
         def descend(tree, x):
             i = 0
-            while tree.left[i] >= 0:
+            while tree.var[i] >= 0:
                 go_left = x[tree.var[i]] < tree.cut[i]
-                i = tree.left[i] if go_left else tree.right[i]
+                i = i + 1 if go_left else tree.right[i]
             return tree.values[i]
 
-        cfg = TreePriorConfig()
         trees = []
         for i in range(5):
-            t = sample_tree_from_prior(grid, cfg, np.random.default_rng(i), k=2)
+            t = sample_tree_from_prior(grid, np.random.default_rng(i), k=2)
             for leaf in t.leaf_nodes():
                 t.values[leaf] = rng.normal(size=2)
             trees.append(t)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from mixtrees.trees import (
     CutpointGrid,
     Tree,
-    TreePriorConfig,
+    _draw_rule,
     log_tree_prior,
     propose_birth,
     propose_death,
@@ -14,11 +16,6 @@ from mixtrees.trees import (
     sample_tree_from_prior,
     split_probability,
 )
-
-
-@pytest.fixture
-def cfg():
-    return TreePriorConfig(split_base=0.95, split_power=2.0)
 
 
 @pytest.fixture
@@ -38,15 +35,11 @@ def lookup(tree, x):
 
 
 class TestSplitProbability:
-    def test_depth_zero_is_base(self, cfg):
-        assert split_probability(0, cfg) == 0.95
+    def test_depth_zero_is_base(self):
+        assert split_probability(0) == 0.95
 
-    def test_depth_one_quarter(self, cfg):
-        assert split_probability(1, cfg) == pytest.approx(0.95 / 4)
-
-    def test_power_zero_is_constant(self):
-        flat = TreePriorConfig(split_base=0.6, split_power=0.0)
-        assert all(split_probability(d, flat) == 0.6 for d in range(6))
+    def test_depth_one_quarter(self):
+        assert split_probability(1) == pytest.approx(0.95 / 4)
 
 
 class TestAssignLeaf:
@@ -69,11 +62,11 @@ class TestAssignLeaf:
         # x=0.9: right at root -> leaf value 3
         assert lookup(tree, 0.9) == 3.0
 
-    def test_every_point_lands_in_exactly_one_leaf(self, grid1d, cfg):
+    def test_every_point_lands_in_exactly_one_leaf(self, grid1d):
         rng = np.random.default_rng(5)
         X = rng.uniform(-0.2, 1.2, size=(10_000, 1))
         for seed in range(5):
-            tree = sample_tree_from_prior(grid1d, cfg, np.random.default_rng(seed))
+            tree = sample_tree_from_prior(grid1d, np.random.default_rng(seed))
             counts = np.zeros(X.shape[0], dtype=int)
             rows = tree.partition(X)
             for leaf in tree.leaf_nodes():
@@ -90,25 +83,25 @@ class TestAssignLeaf:
 
 
 class TestLogTreePrior:
-    def test_root_only(self, grid1d, cfg):
+    def test_root_only(self, grid1d):
         tree = Tree.root_only(grid1d, np.array([0.0]))
-        assert log_tree_prior(tree, cfg) == pytest.approx(np.log(1 - 0.95))
+        assert log_tree_prior(tree) == pytest.approx(np.log(1 - 0.95))
 
-    def test_single_split(self, grid1d, cfg):
+    def test_single_split(self, grid1d):
         tree = Tree.decode(f"I 0 {grid1d.cuts[0][49]:.17g} L 1 0 L 1 0", grid1d)
         expect = (
             np.log(0.95)
             + 2 * np.log(1 - 0.95 / 4)
             + np.log(1.0 / (1 * 100))
         )
-        assert log_tree_prior(tree, cfg) == pytest.approx(expect, rel=1e-12)
+        assert log_tree_prior(tree) == pytest.approx(expect, rel=1e-12)
 
-    def test_depth2_matches_enumeration_oracle(self, grid1d, cfg):
+    def test_depth2_matches_enumeration_oracle(self, grid1d):
         # Independent accounting: explicitly multiply out the generative
         # process for the hand-built depth-2 tree.
         tree = build_depth2_tree(grid1d)
         cuts = grid1d.cuts[0]
-        p0, p1, p2 = (split_probability(d, cfg) for d in (0, 1, 2))
+        p0, p1, p2 = (split_probability(d) for d in (0, 1, 2))
         n_below_half = int(np.sum(cuts < 0.5))
         expect = (
             np.log(p0) + np.log(1.0 / cuts.size)       # root rule
@@ -116,99 +109,98 @@ class TestLogTreePrior:
             + 2 * np.log(1 - p2)                       # two deep leaves
             + np.log(1 - p1)                           # right leaf
         )
-        assert log_tree_prior(tree, cfg) == pytest.approx(expect, rel=1e-12)
+        assert log_tree_prior(tree) == pytest.approx(expect, rel=1e-12)
 
-    def test_prior_equals_birth_path_probability(self, grid1d, cfg):
+    def test_prior_equals_birth_path_probability(self, grid1d):
         # Growing the single-split tree from the root: log prior difference
         # equals the birth move's prior ratio bookkeeping.
         rng = np.random.default_rng(11)
         X = np.linspace(0.0, 1.0, 50)[:, None]
         base = Tree.root_only(grid1d, np.array([0.0]))
-        prop = propose_birth(base, X, cfg, rng)
+        prop = propose_birth(base, X, 1, rng)
         assert prop.valid
-        delta = log_tree_prior(prop.tree, cfg) - log_tree_prior(base, cfg)
+        delta = log_tree_prior(prop.tree) - log_tree_prior(base)
         assert prop.log_prior_ratio == pytest.approx(delta, rel=1e-12)
 
 
 class TestProposals:
-    def test_birth_forward_probability_uniform_choices(self, cfg):
+    def test_birth_forward_probability_uniform_choices(self):
         # Root-only tree, one dimension, 100 cutpoints: 1 / (1 * 1 * 100).
         X = np.linspace(0.0, 1.0, 50)[:, None]
         grid = CutpointGrid.from_data(X, 100)
         tree = Tree.root_only(grid, np.array([0.0]))
-        prop = propose_birth(tree, X, cfg, np.random.default_rng(0))
+        prop = propose_birth(tree, X, 1, np.random.default_rng(0))
         assert prop.valid
         assert prop.log_forward == pytest.approx(np.log(1.0 / 100))
 
-    def test_birth_never_creates_empty_child(self, cfg):
+    def test_birth_never_creates_empty_child(self):
         X = np.linspace(0.0, 1.0, 10)[:, None]
         grid = CutpointGrid.from_data(X, 100)
         rng = np.random.default_rng(3)
         for _ in range(200):
             tree = Tree.root_only(grid, np.array([0.0]))
-            prop = propose_birth(tree, X, cfg, rng)
+            prop = propose_birth(tree, X, 1, rng)
             if prop.valid:
                 for idx in prop.new_leaf_sets:
-                    assert idx.size >= cfg.min_leaf_n
+                    assert idx.size >= 1
 
     def test_birth_respects_min_leaf_n(self):
-        cfg = TreePriorConfig(min_leaf_n=6)
         X = np.linspace(0.0, 1.0, 10)[:, None]
         grid = CutpointGrid.from_data(X, 100)
         rng = np.random.default_rng(3)
         # 10 points cannot split into two groups of >= 6: always invalid.
         for _ in range(50):
-            prop = propose_birth(Tree.root_only(grid, np.array([0.0])), X, cfg, rng)
+            prop = propose_birth(Tree.root_only(grid, np.array([0.0])), X, 6, rng)
             assert not prop.valid
 
-    def test_death_on_root_only_invalid(self, grid1d, cfg):
+    def test_death_on_root_only_invalid(self, grid1d):
         X = np.linspace(0.0, 1.0, 50)[:, None]
         tree = Tree.root_only(grid1d, np.array([0.0]))
-        prop = propose_death(tree, X, cfg, np.random.default_rng(0))
+        prop = propose_death(tree, X, np.random.default_rng(0))
         assert not prop.valid
 
-    def test_death_collapses_single_split_to_root(self, grid1d, cfg):
+    def test_death_collapses_single_split_to_root(self, grid1d):
         X = np.linspace(0.0, 1.0, 50)[:, None]
         tree = Tree.root_only(grid1d, np.array([0.0]))
-        prop = propose_birth(tree, X, cfg, np.random.default_rng(1))
-        dead = propose_death(prop.tree, X, cfg, np.random.default_rng(2))
+        prop = propose_birth(tree, X, 1, np.random.default_rng(1))
+        dead = propose_death(prop.tree, X, np.random.default_rng(2))
         assert dead.valid
         assert dead.tree.n_leaves() == 1
 
-    def test_birth_death_probabilities_are_symmetric(self, grid1d, cfg):
+    def test_birth_death_probabilities_are_symmetric(self, grid1d):
         # On the pair (1-leaf tree) <-> (2-leaf tree), the death reverse
         # probability must equal the matching birth forward probability and
         # the prior ratios must cancel.
         X = np.linspace(0.0, 1.0, 50)[:, None]
         rng = np.random.default_rng(7)
         base = Tree.root_only(grid1d, np.array([0.0]))
-        birth = propose_birth(base, X, cfg, rng)
+        birth = propose_birth(base, X, 1, rng)
         assert birth.valid
-        death = propose_death(birth.tree, X, cfg, rng)
+        death = propose_death(birth.tree, X, rng)
         assert death.valid
         assert death.log_reverse == pytest.approx(birth.log_forward, rel=1e-12)
         assert death.log_forward == pytest.approx(birth.log_reverse, rel=1e-12)
         assert death.log_prior_ratio == pytest.approx(-birth.log_prior_ratio, rel=1e-12)
 
-    def test_death_after_birth_restores_structure(self, grid1d, cfg):
+    def test_death_after_birth_restores_structure(self, grid1d):
         X = np.linspace(0.0, 1.0, 50)[:, None]
         rng = np.random.default_rng(9)
         base = Tree.root_only(grid1d, np.array([4.2]))
-        birth = propose_birth(base, X, cfg, rng)
-        death = propose_death(birth.tree, X, cfg, rng)
+        birth = propose_birth(base, X, 1, rng)
+        death = propose_death(birth.tree, X, rng)
         assert death.tree.n_leaves() == 1
         # membership restored
         assert np.array_equal(death.new_leaf_sets[0], np.arange(50))
 
 
 class TestPriorSampling:
-    def test_prior_trees_stay_shallow(self, grid1d, cfg):
+    def test_prior_trees_stay_shallow(self, grid1d):
         rng = np.random.default_rng(2024)
         n_samples = 100_000
         leaves = np.empty(n_samples)
         depths = np.empty(n_samples)
         for i in range(n_samples):
-            t = sample_tree_from_prior(grid1d, cfg, rng)
+            t = sample_tree_from_prior(grid1d, rng)
             leaves[i] = t.n_leaves()
             depths[i] = t.depth()
         assert 2.0 <= leaves.mean() <= 4.0
@@ -263,11 +255,11 @@ def route_from_scratch(tree, X):
     leaf_of = np.full(X.shape[0], -1)
 
     def rec(i, idx):
-        if tree.left[i] < 0:
+        if tree.var[i] < 0:
             leaf_of[idx] = i
         else:
             mask = X[idx, tree.var[i]] < tree.cut[i]
-            rec(tree.left[i], idx[mask])
+            rec(i + 1, idx[mask])
             rec(tree.right[i], idx[~mask])
 
     rec(0, np.arange(X.shape[0]))
@@ -281,11 +273,11 @@ def filtered_cuts(tree):
 
     def rec(i, lo, hi):
         out[i] = [c[(c > lo[v]) & (c < hi[v])] for v, c in enumerate(tree.grid.cuts)]
-        if tree.left[i] >= 0:
+        if tree.var[i] >= 0:
             v, cut = tree.var[i], tree.cut[i]
             hi_l = hi.copy()
             hi_l[v] = min(hi_l[v], cut)
-            rec(tree.left[i], lo.copy(), hi_l)
+            rec(i + 1, lo.copy(), hi_l)
             lo_r = lo.copy()
             lo_r[v] = max(lo_r[v], cut)
             rec(tree.right[i], lo_r, hi.copy())
@@ -296,7 +288,9 @@ def filtered_cuts(tree):
 
 class TestCachedRowsAndSpans:
     """Moves update the cached rows and cut spans in place; both must equal
-    what a from-scratch recursive routing and cut filter give."""
+    what a from-scratch recursive routing and cut filter give.  A relocation
+    judges and scores its candidate on the spans; both must agree with the
+    float intervals of ``node_bounds`` and a whole-tree ``log_tree_prior``."""
 
     @staticmethod
     def check(tree, X):
@@ -311,6 +305,34 @@ class TestCachedRowsAndSpans:
             for v, (lo, hi) in enumerate(span):
                 got = tree.grid.cuts[v][lo:hi]
                 np.testing.assert_array_equal(got, expected[i][v])
+
+    @staticmethod
+    def check_relocation(tree, X, min_leaf_n, prop, probe):
+        """Replay the relocation's draws with ``probe`` and judge the
+        candidate tree from scratch."""
+        internals = tree.internal_nodes()
+        if not internals:
+            assert not prop.valid
+            return
+        node = internals[probe.integers(len(internals))]
+        var, cut, _ = _draw_rule(tree, node, tree.usable_vars(node), probe)
+        candidate = tree.copy()
+        candidate.var[node], candidate.cut[node] = var, cut
+        fresh = Tree.decode(candidate.encode(), tree.grid)
+        rows, bounds = fresh.partition(X), fresh.node_bounds()
+        big_enough = all(rows[i].size >= min_leaf_n for i in fresh.leaf_nodes())
+        inside = all(
+            bounds[i][0][fresh.var[i]] < fresh.cut[i] < bounds[i][1][fresh.var[i]]
+            for i in fresh.internal_nodes()
+        )
+        # The span verdict alone: a rule on its ancestor's cut also empties
+        # a leaf, so the proposal's verdict cannot tell the two checks apart.
+        assert candidate._refresh(node, candidate._subtree_end(node)) == inside
+        assert prop.valid == (big_enough and inside)
+        if prop.valid:
+            assert prop.tree.encode() == fresh.encode()
+            delta = log_tree_prior(fresh) - log_tree_prior(tree)
+            assert prop.log_prior_ratio == pytest.approx(delta, rel=0, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -331,12 +353,19 @@ class TestCachedRowsAndSpans:
         if ties:
             X = np.round(4 * X) / 4
         grid = CutpointGrid.from_data(X, n_cuts, method)
-        cfg = TreePriorConfig(min_leaf_n=min_leaf_n)
         tree = Tree.root_only(grid, np.zeros(1))
         self.check(tree, X)
-        moves = (propose_birth, propose_birth, propose_death, propose_rule_change)
+        moves = ("birth", "birth", "death", "change")
         for _ in range(steps):
-            prop = moves[rng.integers(len(moves))](tree, X, cfg, rng)
+            move = moves[rng.integers(len(moves))]
+            if move == "birth":
+                prop = propose_birth(tree, X, min_leaf_n, rng)
+            elif move == "death":
+                prop = propose_death(tree, X, rng)
+            else:
+                probe = copy.deepcopy(rng)
+                prop = propose_rule_change(tree, X, min_leaf_n, rng)
+                self.check_relocation(tree, X, min_leaf_n, prop, probe)
             self.check(tree, X)
             if prop.valid:
                 tree = prop.tree
