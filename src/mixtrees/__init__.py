@@ -57,11 +57,11 @@ from .calibration import (
 )
 from .sampler import (
     Chain,
+    DrawTable,
     MixedSummary,
     PosteriorDraws,
     PredictionSet,
     SamplerConfig,
-    evaluate_weights_batch,
     fit_bmm,
     load_draws,
     predict_from_archive,

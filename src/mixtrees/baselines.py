@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .node_model import NoisePrior
 
@@ -45,7 +44,10 @@ def model_log_evidence(y, predictions, noise: NoisePrior) -> float:
 
     With mean fixed at the model prediction and sigma2 ~ nu*lambda/chi2_nu,
     the marginal is proportional to (nu*lambda + SSE)^(-(nu+n)/2).
+    Only ``bma`` needs this, so ``scipy.special`` is imported here.
     """
+    from scipy.special import gammaln
+
     y = np.asarray(y, dtype=float).ravel()
     pred = np.asarray(predictions, dtype=float).ravel()
     if pred.size != y.size:

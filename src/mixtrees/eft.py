@@ -17,8 +17,6 @@ from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gamma as gamma_fn
 
 # |Q| is clipped to this bound inside the geometric-sum formulas; beyond it
 # the tail model diverges and the capped value yields a finite, very large
@@ -30,8 +28,12 @@ def weak_coefficients(n_s: int) -> np.ndarray:
     """Series coefficients of the small-coupling expansion, orders 0..n_s.
 
     Odd orders are exactly zero; even order t carries
-    sqrt(2) * Gamma(t + 1/2) / (t/2)! * (-4)^(t/2).
+    sqrt(2) * Gamma(t + 1/2) / (t/2)! * (-4)^(t/2).  ``scipy.special`` is
+    imported by the functions that use it, so runs without a series skip
+    it; ``math.gamma`` would round some of these values differently.
     """
+    from scipy.special import gamma as gamma_fn
+
     if n_s < 0:
         raise ValueError("order must be nonnegative")
     out = np.zeros(n_s + 1)
@@ -46,6 +48,8 @@ def strong_coefficients(n_l: int) -> np.ndarray:
 
     Order t carries Gamma(t/2 + 1/4) / (2 t!) * (-1/2)^t.
     """
+    from scipy.special import gamma as gamma_fn
+
     if n_l < 0:
         raise ValueError("order must be nonnegative")
     return np.array(
@@ -229,6 +233,8 @@ def fit_coefficient_gp(
     [0.01, 10] times the design width; ``cbar2`` is then the conjugate
     posterior mean at the selected ``ell``.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     C = np.atleast_2d(np.asarray(coeffs, dtype=float))
     X = np.asarray(design_inputs, dtype=float)
     if X.ndim == 1:

@@ -264,7 +264,7 @@ class Chain:
             live[key] = stats
             design, _, lp = stats
             value = _sample_leaf_raw(r, design, lp.mean, lp.sd, self.sigma2, self.rng, factor)
-            tree.values[leaf] = value  # a new vector: kept draws hold the old one
+            tree.values[leaf] = value  # a new vector: split children share one
             fit_j[idx] = design @ value
         self._live[j] = live  # only the surviving leaves: changed rows drop out
         self.total_fit = self.fits.sum(axis=0)
@@ -302,34 +302,141 @@ class Chain:
             self.sigma2 = sample_sigma2(self.total_sse, self.n, self.noise, self.rng)
 
 
-def evaluate_weights_batch(trees, X) -> np.ndarray:
-    """Weight vectors at every row of X: the sum of the trees' leaf vectors."""
-    out = trees[0].evaluate(X)
-    for t in trees[1:]:
-        out = out + t.evaluate(X)
-    return out
+def _structure_key(tree: Tree) -> tuple:
+    """What routes rows: ``var`` and the cuts of the internal nodes."""
+    return tuple(tree.var), tuple(c for v, c in zip(tree.var, tree.cut) if v >= 0)
+
+
+def _extend(buf: np.ndarray, n: int, rows) -> np.ndarray:
+    """``buf`` with ``rows`` written after its first n rows; when they do
+    not fit, a new buffer of at least twice the capacity."""
+    rows = np.asarray(rows)
+    stop = n + len(rows)
+    if stop > len(buf):
+        new = np.empty((max(stop, 2 * len(buf)),) + rows.shape[1:], rows.dtype)
+        if n:
+            new[:n] = buf[:n]
+        buf = new
+    buf[n:stop] = rows
+    return buf
+
+
+class DrawTable:
+    """The trees of the kept draws, each distinct structure held once.
+
+    A structure (:func:`_structure_key`) is interned as a skeleton
+    :class:`Tree` without leaf values, with its leaf nodes in pre-order.
+    Kept draw s holds one row of m structure ids (``ids[s]``) and m offsets
+    (``offsets[s]``): the leaf vectors of its tree j are the rows
+    ``offsets[s, j]`` onwards of the (total leaves, K) array ``values``, in
+    pre-order.
+    """
+
+    def __init__(self):
+        self.skeletons: list[Tree] = []
+        self.leaf_nodes: list[list[int]] = []
+        self._index = {}
+        self.n_draws = self.n_leaves = 0
+        self._ids = np.empty((0, 0), dtype=np.intp)
+        self._offsets = np.empty((0, 0), dtype=np.intp)
+        self._values = np.empty((0, 0))
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._ids[: self.n_draws]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._offsets[: self.n_draws]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values[: self.n_leaves]
+
+    def _intern(self, tree: Tree) -> int:
+        key = _structure_key(tree)
+        sid = self._index.get(key)
+        if sid is None:
+            sid = self._index[key] = len(self.skeletons)
+            lists = [list(tree.var), list(tree.cut), list(tree.right), list(tree.depths)]
+            self.skeletons.append(Tree(None, *lists, [None] * len(tree.var)))
+            self.leaf_nodes.append(tree.leaf_nodes())
+        return sid
+
+    def _add(self, ids, offsets, values) -> None:
+        self._ids = _extend(self._ids, self.n_draws, ids)
+        self._offsets = _extend(self._offsets, self.n_draws, offsets)
+        self._values = _extend(self._values, self.n_leaves, values)
+        self.n_draws += len(ids)
+        self.n_leaves += len(values)
+
+    def append(self, trees: list[Tree]) -> None:
+        """Add one draw: the structures and current leaf vectors of ``trees``."""
+        ids, offsets, values = [], [], []
+        for tree in trees:
+            sid = self._intern(tree)
+            ids.append(sid)
+            offsets.append(self.n_leaves + len(values))
+            values += [tree.values[i] for i in self.leaf_nodes[sid]]
+        self._add([ids], [offsets], np.array(values, dtype=float))
+
+    @classmethod
+    def concat(cls, tables: list["DrawTable"]) -> "DrawTable":
+        """The draws of ``tables`` in order, with their structures re-interned."""
+        out = cls()
+        for table in tables:
+            new_ids = np.array([out._intern(t) for t in table.skeletons], dtype=np.intp)
+            out._add(new_ids[table.ids], table.offsets + out.n_leaves, table.values)
+        return out
+
+    def encoded(self, s: int) -> list[str]:
+        """The text of each tree of draw s, as :meth:`Tree.encode` writes it."""
+        return [
+            self.skeletons[sid].encode(self.values[off : off + len(self.leaf_nodes[sid])])
+            for sid, off in zip(self.ids[s], self.offsets[s])
+        ]
+
+    def weights(self, X) -> np.ndarray:
+        """(n_draws, len(X), K) weight vectors: per draw, the leaf vectors its
+        trees reach, summed in tree order.
+
+        Each structure routes X once.  The sums run one draw at a time so
+        that no index array larger than X is built.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        slots = []  # per structure: the leaf position each row reaches
+        for tree, leaves in zip(self.skeletons, self.leaf_nodes):
+            position = np.empty(len(tree.var), dtype=np.intp)
+            position[leaves] = np.arange(len(leaves))
+            slots.append(position.take(tree.leaf_index(X)))
+        values = self.values
+        out = np.empty((self.n_draws, len(X), values.shape[1]))
+        for w, ids, offsets in zip(out, self.ids.tolist(), self.offsets.tolist()):
+            values[offsets[0] :].take(slots[ids[0]], axis=0, out=w)
+            for sid, off in zip(ids[1:], offsets[1:]):
+                w += values[off:].take(slots[sid], axis=0)
+        return out
 
 
 @dataclass
 class PosteriorDraws:
     """Kept MCMC output: sigma2 and the m trees of each kept draw.
 
-    The trees of a kept draw are copies, so the chain's later moves leave
-    them alone: a leaf redraw replaces an entry of the chain tree's
-    ``values`` list and a proposal edits its own copy.
+    The trees are held in a :class:`DrawTable`, which copies the leaf
+    vectors when a draw is kept, so the chain's later moves leave it alone.
     """
 
     grid: np.ndarray
     grid_means: np.ndarray
     sigma2_trace: np.ndarray
-    ensembles: list  # n_kept lists of m trees
+    table: DrawTable
     n_proposals: int = 0
     n_accepted: int = 0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.ensembles) != self.n_kept:
-            raise ValueError("kept ensembles must match the sigma2 trace")
+        if self.table.n_draws != self.n_kept:
+            raise ValueError("kept draws must match the sigma2 trace")
 
     @property
     def n_kept(self) -> int:
@@ -346,7 +453,7 @@ class PosteriorDraws:
             grid=first.grid,
             grid_means=first.grid_means,
             sigma2_trace=np.concatenate([p.sigma2_trace for p in parts]),
-            ensembles=[e for p in parts for e in p.ensembles],
+            table=DrawTable.concat([p.table for p in parts]),
             n_proposals=sum(p.n_proposals for p in parts),
             n_accepted=sum(p.n_accepted for p in parts),
             meta=dict(first.meta, chains=len(parts)),
@@ -369,7 +476,7 @@ def fit_bmm(
     """
     chain = Chain(dataset.inputs, dataset.outputs, ps, cfg)
     sigma2_trace = np.empty(cfg.n_keep)
-    ensembles = []
+    table = DrawTable()
 
     total = cfg.n_burn + cfg.n_keep * cfg.thin
     for sweep in range(total):
@@ -381,13 +488,13 @@ def fit_bmm(
         if callback is not None:
             callback(sweep, chain)
         if sweep >= cfg.n_burn and (sweep - cfg.n_burn) % cfg.thin == 0:
-            sigma2_trace[len(ensembles)] = chain.sigma2
-            ensembles.append([t.copy() for t in chain.trees])
+            sigma2_trace[table.n_draws] = chain.sigma2
+            table.append(chain.trees)
 
     meta = {key: getattr(cfg, key) for key in META_KEYS}
     meta.update(lam=chain.noise.scale, n_train=chain.n, n_models=chain.n_models)
     return PosteriorDraws(
-        ps.grid, ps.grid_means, sigma2_trace, ensembles,
+        ps.grid, ps.grid_means, sigma2_trace, table,
         chain.n_proposals, chain.n_accepted, meta,
     )
 
@@ -413,19 +520,23 @@ def predict_mixed(draws: PosteriorDraws) -> MixedSummary:
     weight function, and the sum of weights, over the draws' grid."""
     if draws.n_kept < 1:
         raise ValueError("no kept draws")
-    weights = np.empty((draws.n_kept,) + draws.grid_means.shape)
-    for s, trees in enumerate(draws.ensembles):
-        weights[s] = evaluate_weights_batch(trees, draws.grid)
-    # The weight band goes first so its sorted copy is freed before the
-    # mixed and weight-sum traces are built.
+    weights = draws.table.weights(draws.grid)
+    # Each trace is freed once summarised, and the band of one weight
+    # column at a time sorts a copy of that column only.
     q = [0.025, 0.975]
-    weight_band = np.quantile(weights, q, axis=0)
+    weight_band = np.empty((len(q),) + weights.shape[1:])
+    for k in range(weights.shape[2]):
+        weight_band[:, :, k] = np.quantile(weights[:, :, k], q, axis=0)
     mixed = np.einsum("gk,sgk->sg", draws.grid_means, weights)
+    mixed_stats = mixed.mean(axis=0), *np.quantile(mixed, q, axis=0)
+    del mixed
+    weight_mean = weights.mean(axis=0)
     wsum = weights.sum(axis=2)
+    del weights
     return MixedSummary(
         draws.grid,
-        mixed.mean(axis=0), *np.quantile(mixed, q, axis=0),
-        weights.mean(axis=0), *weight_band,
+        *mixed_stats,
+        weight_mean, *weight_band,
         wsum.mean(axis=0), *np.quantile(wsum, q, axis=0),
     )
 
@@ -435,10 +546,10 @@ def save_draws(draws: PosteriorDraws, path) -> None:
     with open(path, "w") as fh:
         for key, val in sorted(draws.meta.items()):
             fh.write(f"# {key} = {val}\n")
-        for i, trees in enumerate(draws.ensembles):
+        for i in range(draws.n_kept):
             fh.write(f"draw {i} sigma2 {draws.sigma2_trace[i]:.17g}\n")
-            for tree in trees:
-                fh.write(f"tree {tree.encode()}\n")
+            for text in draws.table.encoded(i):
+                fh.write(f"tree {text}\n")
 
 
 def load_draws(path) -> list[tuple[float, list[Tree]]]:
@@ -463,11 +574,14 @@ def predict_from_archive(ensembles, grid, grid_means) -> MixedSummary:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.ndim == 1:
         grid = grid[:, None]
+    table = DrawTable()
+    for _, trees in ensembles:
+        table.append(trees)
     draws = PosteriorDraws(
         grid=grid,
         grid_means=np.atleast_2d(np.asarray(grid_means, dtype=float)),
         sigma2_trace=np.array([s for s, _ in ensembles]),
-        ensembles=[trees for _, trees in ensembles],
+        table=table,
     )
     return predict_mixed(draws)
 

@@ -256,8 +256,8 @@ class Tree:
         self.right = [c - 2 if c > i else c for c in self.right]
         self.var[i], self.cut[i], self.right[i] = -1, np.nan, -1
 
-    def evaluate(self, X: np.ndarray) -> np.ndarray:
-        """Leaf vector of every row of X, as an (n, K) array.
+    def leaf_index(self, X: np.ndarray) -> np.ndarray:
+        """Node index of the leaf that each row of X reaches.
 
         All rows descend together, one level per pass: left iff
         ``x_var < cut``, ties to the right.  A leaf's NaN cut sends its
@@ -274,16 +274,27 @@ class Tree:
             for _ in range(self.depth()):
                 go_left = flat.take(row_start + var.take(node)) < cut.take(node)
                 node = np.where(go_left, node + 1, right.take(node))
-        return np.array(self.values).take(node, axis=0)
+        return node
+
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
+        """Leaf vector of every row of X, as an (n, K) array."""
+        return np.array(self.values).take(self.leaf_index(X), axis=0)
 
     # ---- serialization -----------------------------------------------------
 
-    def encode(self) -> str:
-        """Deterministic pre-order text encoding of the tree."""
+    def encode(self, leaf_values=None) -> str:
+        """Deterministic pre-order text encoding of the tree.
+
+        ``leaf_values``, when given, are the leaf vectors in pre-order and
+        stand in for ``values``.
+        """
+        if leaf_values is None:
+            leaf_values = [self.values[i] for i in self.leaf_nodes()]
+        leaf_values = iter(leaf_values)
         parts = []
         for i, v in enumerate(self.var):
             if v < 0:
-                value = self.values[i]
+                value = next(leaf_values)
                 vals = " ".join(f"{v:.17g}" for v in value)
                 parts.append(f"L {len(value)} {vals}")
             else:

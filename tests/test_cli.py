@@ -526,13 +526,57 @@ class TestBenchmarkHooks:
             assert layers[name] > 0, name
 
 
+    def test_verify_reads_mix_archives(self, mini_cfg, tmp_path):
+        # perfbench/verify.py reads load_draws pairs, Tree.n_leaves,
+        # Tree.leaves()[i].value and predict_from_archive; it must pass every
+        # check on a finished run, with one chain and with two.
+        requests = []
+        for chains in ("1", "2"):
+            out = tmp_path / f"runs{chains}"
+            args = ["mix", "--config", str(mini_cfg), "--out", str(out), "--chains", chains]
+            assert main(args) == 0
+            requests.append(json.dumps({"config": str(mini_cfg), "out": str(out / "mini")}))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "verify.py")],
+            input="\n".join(requests) + "\n",
+            env=src_env(), cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        replies = [json.loads(line) for line in proc.stdout.splitlines()[1:]]
+        assert [r["errors"] for r in replies] == [[], []]
+        assert [r["chains"] for r in replies] == [1, 2]
+
+
+def run_python(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestImports:
     def test_cli_import_skips_scipy_integrate(self):
         # Only the phi4 truth integrates, so no other run should pay for
         # importing scipy.integrate.
-        code = "import sys, mixtrees.cli; assert 'scipy.integrate' not in sys.modules"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=src_env(), capture_output=True, text=True, timeout=120,
+        run_python("import sys, mixtrees.cli; assert 'scipy.integrate' not in sys.modules")
+
+    def test_cli_import_skips_scipy(self):
+        # The series coefficients, the coefficient GP and bma import the
+        # scipy parts they use when they run.
+        run_python(
+            "import sys, mixtrees.cli\n"
+            "for name in ('scipy.linalg', 'scipy.special', 'scipy.integrate'):\n"
+            "    assert name not in sys.modules, name"
         )
-        assert proc.returncode == 0, proc.stderr
+
+    def test_mix_without_series_imports_no_scipy(self, mini_2d_cfg, tmp_path):
+        # The sincos2d mix has no series, GP or quadrature, so it needs no scipy.
+        out = tmp_path / "runs"
+        run_python(
+            "import sys\n"
+            "from mixtrees.cli import main\n"
+            f"assert main(['mix', '--config', {str(mini_2d_cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded"
+        )

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 
@@ -12,10 +13,11 @@ from mixtrees.dataset import Dataset
 from mixtrees.node_model import NodeData, leaf_posterior, log_marginal_likelihood
 from mixtrees.sampler import (
     Chain,
+    DrawTable,
+    MixedSummary,
     PosteriorDraws,
     PredictionSet,
     SamplerConfig,
-    evaluate_weights_batch,
     fit_bmm,
     load_draws,
     predict_from_archive,
@@ -23,7 +25,7 @@ from mixtrees.sampler import (
     rmse,
     save_draws,
 )
-from mixtrees.trees import CutpointGrid, Tree, log_tree_prior
+from mixtrees.trees import CutpointGrid, Tree, log_tree_prior, sample_tree_from_prior
 
 
 def make_problem(n=12, k=2, seed=0, n_grid=15):
@@ -52,8 +54,39 @@ def make_problem(n=12, k=2, seed=0, n_grid=15):
     return data, ps
 
 
-def encoded(ensembles):
-    return [[t.encode() for t in trees] for trees in ensembles]
+def encoded(draws):
+    return [draws.table.encoded(s) for s in range(draws.n_kept)]
+
+
+def table_of(ensembles):
+    """A DrawTable holding each list of trees as one draw."""
+    table = DrawTable()
+    for trees in ensembles:
+        table.append(trees)
+    return table
+
+
+def oracle_weights(trees, X):
+    """Weight vectors at every row of X: each tree evaluated, summed in order."""
+    out = trees[0].evaluate(X)
+    for t in trees[1:]:
+        out = out + t.evaluate(X)
+    return out
+
+
+def oracle_summary(ensembles, grid, grid_means):
+    """The summaries of the mixed, weight and weight-sum traces, computed
+    from per-tree evaluation and whole-array quantiles."""
+    weights = np.stack([oracle_weights(trees, grid) for trees in ensembles])
+    mixed = np.einsum("gk,sgk->sg", grid_means, weights)
+    wsum = weights.sum(axis=2)
+    q = [0.025, 0.975]
+    return MixedSummary(
+        grid,
+        mixed.mean(axis=0), *np.quantile(mixed, q, axis=0),
+        weights.mean(axis=0), *np.quantile(weights, q, axis=0),
+        wsum.mean(axis=0), *np.quantile(wsum, q, axis=0),
+    )
 
 
 def root_tree(grid, value):
@@ -316,11 +349,11 @@ class TestGibbsSweep:
         a = fit_bmm(data, ps, cfg)
         b = fit_bmm(data, ps, cfg)
         np.testing.assert_array_equal(a.sigma2_trace, b.sigma2_trace)
-        assert encoded(a.ensembles) == encoded(b.ensembles)
+        assert encoded(a) == encoded(b)
 
     def test_kept_ensembles_are_snapshots(self):
-        # Later sweeps redraw every leaf and move structure; the trees kept
-        # for an earlier draw must still read as they did when kept.
+        # Later sweeps redraw every leaf and move structure; each tree-draw
+        # kept in the table must still encode as the chain tree did when kept.
         data, ps = make_problem()
         cfg = SamplerConfig(m=3, n_burn=10, n_keep=20, thin=2, seed=4)
         at_keep = []
@@ -331,18 +364,18 @@ class TestGibbsSweep:
 
         draws = fit_bmm(data, ps, cfg, callback=record)
         assert len(at_keep) == cfg.n_keep
-        assert encoded(draws.ensembles) == at_keep
+        assert encoded(draws) == at_keep
 
     def test_sse_cache_matches_recomputation(self):
         # Cache coherence: the SSE the sigma2 draw uses must equal the SSE
-        # recomputed from scratch with evaluate_weights_batch at every sweep.
+        # recomputed from scratch by evaluating every tree at every sweep.
         data, ps = make_problem()
         cfg = SamplerConfig(m=3, n_burn=10, n_keep=20, seed=1)
         worst = 0.0
 
         def check(sweep, chain):
             nonlocal worst
-            w = evaluate_weights_batch(chain.trees, chain.X)
+            w = oracle_weights(chain.trees, chain.X)
             direct = float(
                 np.sum((chain.y - np.einsum("nk,nk->n", chain.F, w)) ** 2)
             )
@@ -476,7 +509,7 @@ class TestEvaluateWeights:
     def test_root_trees_sum_to_m_beta(self):
         grid = CutpointGrid([np.linspace(0.1, 0.9, 9)])
         trees = [root_tree(grid, [0.05, 0.02]) for _ in range(10)]
-        w = evaluate_weights_batch(trees, [[0.4]])[0]
+        w = table_of([trees]).weights([[0.4]])[0, 0]
         np.testing.assert_allclose(w, [0.5, 0.2])
 
     def test_single_tree_leaf_lookup(self):
@@ -504,7 +537,7 @@ class TestEvaluateWeights:
                 t.values[leaf] = rng.normal(size=2)
             trees.append(t)
         X = rng.uniform(0, 1, size=(50, 1))
-        batch = evaluate_weights_batch(trees, X)
+        batch = table_of([trees]).weights(X)[0]
         for i, x in enumerate(X):
             brute = np.zeros(2)
             for t in trees:
@@ -529,11 +562,10 @@ class TestPredictMixed:
             grid=grid[:, None],
             grid_means=grid_means,
             sigma2_trace=np.ones(n_kept),
-            ensembles=[[step_tree(w, grid)] for w in weight_trace],
+            table=table_of([[step_tree(w, grid)] for w in weight_trace]),
         )
         # The step trees hand back the weights bit for bit.
-        for w, trees in zip(weight_trace, draws.ensembles):
-            np.testing.assert_array_equal(evaluate_weights_batch(trees, draws.grid), w)
+        np.testing.assert_array_equal(draws.table.weights(draws.grid), weight_trace)
         return draws
 
     def test_unit_weights_reproduce_model_mean(self):
@@ -577,9 +609,118 @@ class TestPredictMixed:
                     grid=np.zeros((1, 1)),
                     grid_means=np.ones((1, 1)),
                     sigma2_trace=np.empty(0),
-                    ensembles=[],
+                    table=DrawTable(),
                 )
             )
+
+
+def structure(tree):
+    """The text of a tree with every leaf vector set to (0)."""
+    return tree.encode([[0.0]] * tree.n_leaves())
+
+
+def with_values(tree, rng):
+    """A copy of ``tree`` with fresh normal leaf vectors."""
+    new = tree.copy()
+    k = len(tree.values[0])
+    for leaf in new.leaf_nodes():
+        new.values[leaf] = rng.normal(size=k)
+    return new
+
+
+def random_ensembles(seed, dim, k, n_structures, m, n_draws):
+    """Draws of m trees, each picking one of a few prior structures, and a
+    grid that holds every cutpoint (ties) and points between them."""
+    rng = np.random.default_rng(seed)
+    grid = CutpointGrid([np.linspace(0.1, 0.9, 5) for _ in range(dim)])
+    shapes = [sample_tree_from_prior(grid, rng, k) for _ in range(n_structures)]
+    ensembles = [
+        [with_values(shapes[rng.integers(n_structures)], rng) for _ in range(m)]
+        for _ in range(n_draws)
+    ]
+    axis = np.concatenate([grid.cuts[0], rng.uniform(0, 1, 6)])
+    X = np.array(list(itertools.product(axis, repeat=dim)))
+    return ensembles, X
+
+
+class TestDrawTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        dim=st.sampled_from([1, 2]),
+        k=st.sampled_from([1, 2, 3]),
+        n_structures=st.integers(1, 4),
+        m=st.integers(1, 4),
+        n_draws=st.integers(1, 12),
+    )
+    def test_predict_mixed_matches_per_tree_oracle(
+        self, seed, dim, k, n_structures, m, n_draws
+    ):
+        # Routing once per structure and gathering per draw must give the
+        # bits of evaluating every tree and summing in tree order.
+        ensembles, X = random_ensembles(seed, dim, k, n_structures, m, n_draws)
+        grid_means = np.random.default_rng(seed + 1).normal(size=(len(X), k))
+        draws = PosteriorDraws(
+            grid=X,
+            grid_means=grid_means,
+            sigma2_trace=np.ones(n_draws),
+            table=table_of(ensembles),
+        )
+        got = predict_mixed(draws)
+        expected = oracle_summary(ensembles, X, grid_means)
+        for f in dataclasses.fields(expected):
+            np.testing.assert_array_equal(
+                getattr(got, f.name), getattr(expected, f.name), err_msg=f.name
+            )
+        assert encoded(draws) == [[t.encode() for t in trees] for trees in ensembles]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_concat_reinterns_structures(self, shared):
+        # Pooled chains keep each draw's trees, text and weights, and hold
+        # each structure once whether or not the chains share it.
+        a, X = random_ensembles(3, 2, 2, 3, 3, 5)
+        b, _ = random_ensembles(3 if shared else 4, 2, 2, 3, 3, 4)
+        if shared:
+            rng = np.random.default_rng(9)
+            b = [[with_values(t, rng) for t in trees] for trees in b]
+        parts = [table_of(a), table_of(b)]
+        pooled = DrawTable.concat(parts)
+        both = a + b
+        assert pooled.n_draws == len(both)
+        assert pooled.n_leaves == sum(p.n_leaves for p in parts)
+        np.testing.assert_array_equal(
+            pooled.weights(X), np.stack([oracle_weights(trees, X) for trees in both])
+        )
+        assert [pooled.encoded(s) for s in range(pooled.n_draws)] == [
+            [t.encode() for t in trees] for trees in both
+        ]
+        structures = {structure(t) for trees in both for t in trees}
+        assert len(pooled.skeletons) == len(structures)
+        own = {structure(t) for trees in a for t in trees}
+        if shared:
+            assert structures == own
+        else:
+            assert len(structures) > len(own)
+
+    def test_fit_holds_one_tree_per_structure(self):
+        # The kept draws hold one skeleton Tree per distinct structure, not
+        # a tree per kept tree-draw.
+        data, ps = make_problem()
+        cfg = SamplerConfig(m=4, n_burn=20, n_keep=30, seed=123)
+        structures = set()
+
+        def record(sweep, chain):
+            if sweep >= cfg.n_burn:
+                structures.update(structure(t) for t in chain.trees)
+
+        def trees_alive():
+            gc.collect()
+            return sum(isinstance(o, Tree) for o in gc.get_objects())
+
+        before = trees_alive()
+        draws = fit_bmm(data, ps, cfg, callback=record)
+        assert len(draws.table.skeletons) == len(structures) < cfg.n_keep * cfg.m
+        assert trees_alive() - before == len(structures)
 
 
 class TestDrawArchive:
@@ -672,9 +813,7 @@ class TestGoldenBytes:
         draws = fit_bmm(data, ps, cfg)
         path = tmp_path / "draws.txt"
         save_draws(draws, path)
-        weights = np.stack(
-            [evaluate_weights_batch(trees, ps.grid) for trees in draws.ensembles]
-        )
+        weights = draws.table.weights(ps.grid)
         mixed = np.einsum("gk,sgk->sg", ps.grid_means, weights)
         return tuple(
             hashlib.sha256(b).hexdigest()
