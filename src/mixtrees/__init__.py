@@ -63,6 +63,7 @@ from .sampler import (
     PredictionSet,
     SamplerConfig,
     fit_bmm,
+    fit_chains,
     load_draws,
     predict_from_archive,
     predict_mixed,

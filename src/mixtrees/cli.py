@@ -20,8 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, dataset as ds, eft, sampler
-from .calibration import calibrate_sigma2_prior
-from .node_model import NoisePrior
 
 
 class ConfigError(Exception):
@@ -41,6 +39,37 @@ def _parse_center(text: str) -> float:
     if key in _PI_LITERALS:
         return _PI_LITERALS[key]
     return float(text)
+
+
+def _parse_bool(text: str) -> bool:
+    key = text.strip().lower()
+    if key in ("true", "1", "yes", "on"):
+        return True
+    if key in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_lambda(text: str) -> float | None:
+    return None if text.strip().lower() == "auto" else float(text)
+
+
+# [sampler] key -> (SamplerConfig field, parser); a key left out keeps its default.
+SAMPLER_KEYS = {
+    "trees": ("m", int),
+    "k": ("k", float),
+    "informative": ("informative", _parse_bool),
+    "nu": ("nu", float),
+    "lambda": ("lam", _parse_lambda),
+    "lambda_match": ("lam_match", str),
+    "n_burn": ("n_burn", int),
+    "n_keep": ("n_keep", int),
+    "thin": ("thin", int),
+    "seed": ("seed", int),
+    "cutpoints": ("cutpoints_per_dim", int),
+    "cutpoint_method": ("cutpoint_method", str),
+    "min_leaf_n": ("min_leaf_n", int),
+}
 
 
 # --------------------------------------------------------------------------
@@ -117,11 +146,8 @@ class ExperimentConfig:
         # Pass a distinct stream for the noise so design and noise decouple.
         return ds.generate_observations(system, points, noise_sd, seed + 1)
 
-    def input_bounds(self, data: ds.Dataset):
-        return data.inputs.min(axis=0), data.inputs.max(axis=0)
-
     def eval_grid(self, data: ds.Dataset) -> np.ndarray:
-        lo, hi = self.input_bounds(data)
+        lo, hi = data.inputs.min(axis=0), data.inputs.max(axis=0)
         if data.dim == 1:
             n = self._get("evaluation", "grid_n", int, 300)
             return ds.linspace_grid(float(lo[0]), float(hi[0]), n)[:, None]
@@ -214,32 +240,30 @@ class ExperimentConfig:
     # ---- sampler ----------------------------------------------------------
 
     def sampler_config(self, seed_override=None) -> sampler.SamplerConfig:
-        lam_raw = self._get("sampler", "lambda", str, "auto")
+        section = self.parser["sampler"] if "sampler" in self.parser else {}
+        own = set(section) - set(self.parser.defaults())  # not [DEFAULT]'s keys
+        unknown = sorted(own - set(SAMPLER_KEYS) - {"chains"})
+        if unknown:
+            raise ConfigError(f"unknown [sampler] keys: {', '.join(unknown)}")
+        settings = {
+            name: self._get("sampler", key, parse)
+            for key, (name, parse) in SAMPLER_KEYS.items()
+            if key in section
+        }
+        if seed_override is not None:
+            settings["seed"] = seed_override
         try:
-            return sampler.SamplerConfig(
-                m=self._get("sampler", "trees", int, 10),
-                k=self._get("sampler", "k", float, 2.0),
-                informative=self._get("sampler", "informative", _parse_bool, False),
-                nu=self._get("sampler", "nu", float, 10.0),
-                lam=None if lam_raw.strip().lower() == "auto" else float(lam_raw),
-                lam_match=self._get("sampler", "lambda_match", str, "mode"),
-                n_burn=self._get("sampler", "n_burn", int, 2000),
-                n_keep=self._get("sampler", "n_keep", int, 5000),
-                thin=self._get("sampler", "thin", int, 1),
-                seed=(
-                    self._get("sampler", "seed", int, 0)
-                    if seed_override is None
-                    else seed_override
-                ),
-                cutpoints_per_dim=self._get("sampler", "cutpoints", int, 100),
-                cutpoint_method=self._get("sampler", "cutpoint_method", str, "uniform"),
-                min_leaf_n=self._get("sampler", "min_leaf_n", int, 1),
-            )
+            return sampler.SamplerConfig(**settings)
         except ValueError as exc:
             raise ConfigError(f"bad [sampler] settings: {exc}") from exc
 
-    def n_chains(self) -> int:
-        return self._get("sampler", "chains", int, 1)
+    def n_chains(self, override=None) -> int:
+        chains = override
+        if chains is None:
+            chains = self._get("sampler", "chains", int, 1)
+        if chains < 1:
+            raise ConfigError(f"need at least one chain, got {chains}")
+        return chains
 
     def output_dir(self, override=None) -> Path:
         if override is not None:
@@ -252,15 +276,6 @@ class ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         return out
-
-
-def _parse_bool(text: str) -> bool:
-    key = text.strip().lower()
-    if key in ("true", "1", "yes", "on"):
-        return True
-    if key in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 # --------------------------------------------------------------------------
@@ -378,29 +393,17 @@ def _summary_lines(meta: dict, grid_cols, sigma2: np.ndarray) -> list[str]:
 
 def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=None) -> None:
     scfg = cfg.sampler_config(seed_override)
-    if chains is None:
-        chains = cfg.n_chains()
-    if chains < 1:
-        raise ConfigError(f"need at least one chain, got {chains}")
+    chains = cfg.n_chains(chains)
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
-    names, train_mean, train_var, grid_mean, _, _ = cfg.model_predictions(
-        data, grid
-    )
+    names, train_mean, train_var, grid_mean, _, _ = cfg.model_predictions(data, grid)
     ps = sampler.PredictionSet(
         means=train_mean,
         variances=train_var if scfg.informative else None,
         grid=grid,
         grid_means=grid_mean,
     )
-    if chains == 1:
-        draws = sampler.fit_bmm(data, ps, scfg)
-    else:
-        parts = []
-        for c in range(chains):
-            part_cfg = sampler.SamplerConfig(**{**scfg.__dict__, "seed": scfg.seed + c})
-            parts.append(sampler.fit_bmm(data, ps, part_cfg))
-        draws = sampler.PosteriorDraws.concat(parts)
+    draws = sampler.fit_chains(data, ps, scfg, chains)
     summary = sampler.predict_mixed(draws)
 
     meta = {
@@ -452,11 +455,9 @@ def cmd_bma(cfg: ExperimentConfig, out_dir: Path) -> None:
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
     names, train_mean, _, grid_mean, _, _ = cfg.model_predictions(data, grid)
-    lam = scfg.lam
-    if lam is None:
-        lam = calibrate_sigma2_prior(train_mean, data.outputs, scfg.nu, scfg.lam_match)
     result = baselines.run_bma(
-        data.outputs, train_mean, grid, grid_mean, NoisePrior(scfg.nu, lam)
+        data.outputs, train_mean, grid, grid_mean,
+        scfg.noise_prior(train_mean, data.outputs),
     )
     meta = {"config_hash": cfg.config_hash, "seed": cfg.dataset_seed()}
     write_csv(

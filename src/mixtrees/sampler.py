@@ -10,7 +10,7 @@ finally draws sigma2 from its scaled inverse-chi-squared conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,10 +75,6 @@ class PredictionSet:
         if not (np.isfinite(self.means).all() and np.isfinite(self.grid_means).all()):
             raise ValueError("non-finite predictions")
 
-    @property
-    def n_models(self) -> int:
-        return self.means.shape[1]
-
 
 @dataclass
 class SamplerConfig:
@@ -117,6 +113,14 @@ class SamplerConfig:
             raise ValueError("need at least one cutpoint per dimension")
         if self.cutpoint_method not in ("uniform", "midpoints"):
             raise ValueError(f"unknown cutpoint method {self.cutpoint_method!r}")
+
+    def noise_prior(self, means, y) -> NoisePrior:
+        """The sigma2 prior; with ``lam=None`` its scale is calibrated from
+        the models' training predictions ``means`` and the outputs ``y``."""
+        lam = self.lam
+        if lam is None:
+            lam = calibrate_sigma2_prior(means, y, self.nu, self.lam_match)
+        return NoisePrior(shape=self.nu, scale=lam)
 
 
 class Chain:
@@ -157,10 +161,7 @@ class Chain:
             self.tau = base.sd
             root_mean = base.mean
 
-        lam = cfg.lam
-        if lam is None:
-            lam = calibrate_sigma2_prior(self.F, self.y, cfg.nu, cfg.lam_match)
-        self.noise = NoisePrior(shape=cfg.nu, scale=lam)
+        self.noise = cfg.noise_prior(self.F, self.y)
 
         self.sigma2 = max(pilot_sigma2(self.F, self.y), 1e-12)
 
@@ -497,6 +498,18 @@ def fit_bmm(
         ps.grid, ps.grid_means, sigma2_trace, table,
         chain.n_proposals, chain.n_accepted, meta,
     )
+
+
+def fit_chains(
+    dataset, ps: PredictionSet, cfg: SamplerConfig, chains: int
+) -> PosteriorDraws:
+    """Pool the kept draws of ``chains`` :func:`fit_bmm` runs, chain c at seed
+    ``cfg.seed + c``, in chain order by :meth:`PosteriorDraws.concat` (which
+    sets ``meta["chains"]``); one chain's draws come back unchanged."""
+    if chains < 1:
+        raise ValueError(f"need at least one chain, got {chains}")
+    parts = [fit_bmm(dataset, ps, replace(cfg, seed=cfg.seed + c)) for c in range(chains)]
+    return parts[0] if chains == 1 else PosteriorDraws.concat(parts)
 
 
 @dataclass

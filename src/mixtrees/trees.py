@@ -147,9 +147,6 @@ class Tree:
     def n_leaves(self) -> int:
         return len(self.leaf_nodes())
 
-    def depth(self) -> int:
-        return max(self.depths)
-
     # ---- cutpoint bookkeeping -------------------------------------------
 
     def usable_vars(self, i: int) -> list[int]:
@@ -257,23 +254,11 @@ class Tree:
         self.var[i], self.cut[i], self.right[i] = -1, np.nan, -1
 
     def leaf_index(self, X: np.ndarray) -> np.ndarray:
-        """Node index of the leaf that each row of X reaches.
-
-        All rows descend together, one level per pass: left iff
-        ``x_var < cut``, ties to the right.  A leaf's NaN cut sends its
-        rows "right", to itself.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n, d = X.shape
-        node = np.zeros(n, dtype=np.intp)
-        if len(self.var) > 1:
-            var = np.array(self.var)
-            right = np.where(var < 0, np.arange(var.size), self.right)
-            var, cut = np.maximum(var, 0), np.array(self.cut)
-            flat, row_start = X.ravel(), np.arange(0, n * d, d)
-            for _ in range(self.depth()):
-                go_left = flat.take(row_start + var.take(node)) < cut.take(node)
-                node = np.where(go_left, node + 1, right.take(node))
+        """Node index of the leaf that each row of X reaches."""
+        rows = self.partition(X)
+        node = np.empty(len(rows[0]), dtype=np.intp)
+        for i in self.leaf_nodes():
+            node[rows[i]] = i
         return node
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:

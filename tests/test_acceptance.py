@@ -14,7 +14,6 @@ import pytest
 from scipy import stats
 
 from mixtrees.baselines import run_bma
-from mixtrees.calibration import calibrate_sigma2_prior
 from mixtrees.cli import ExperimentConfig
 from mixtrees.dataset import linspace_grid
 from mixtrees.eft import (
@@ -35,10 +34,9 @@ from mixtrees.node_model import (
 from mixtrees.trees import log_tree_prior
 from mixtrees.sampler import (
     Chain,
-    PosteriorDraws,
     PredictionSet,
     SamplerConfig,
-    fit_bmm,
+    fit_chains,
     predict_mixed,
     rmse,
 )
@@ -59,13 +57,8 @@ def run_example(name: str):
     system, _ = cfg.system()
     truth = np.array([system(*row) for row in grid])
     ps = PredictionSet(means=train_mean, grid=grid, grid_means=grid_mean)
-    scfg = cfg.sampler_config()
     start = time.perf_counter()
-    parts = []
-    for c in range(cfg.n_chains()):
-        chain_cfg = SamplerConfig(**{**scfg.__dict__, "seed": scfg.seed + c})
-        parts.append(fit_bmm(data, ps, chain_cfg))
-    draws = parts[0] if len(parts) == 1 else PosteriorDraws.concat(parts)
+    draws = fit_chains(data, ps, cfg.sampler_config(), cfg.n_chains())
     elapsed = time.perf_counter() - start
     summary = predict_mixed(draws)
     return {
@@ -144,11 +137,8 @@ class TestCriterion4BmaFailure:
         train_mean = example1a["train_mean"]
         grid_mean = example1a["grid_mean"]
         truth = example1a["truth"]
-        nu = 40.0
-        lam = calibrate_sigma2_prior(train_mean, data.outputs, nu)
-        result = run_bma(
-            data.outputs, train_mean, example1a["grid"], grid_mean, NoisePrior(nu, lam)
-        )
+        noise = example1a["cfg"].sampler_config().noise_prior(train_mean, data.outputs)
+        result = run_bma(data.outputs, train_mean, example1a["grid"], grid_mean, noise)
         weak_ix = example1a["names"].index("weak2")
         w_weak = result.posterior_probs[weak_ix]
         bma_rmse = rmse(result.mean, truth)

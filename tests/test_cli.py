@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixtrees.cli import ExperimentConfig, main, read_csv
+from mixtrees.cli import SAMPLER_KEYS, ExperimentConfig, main, read_csv
 from mixtrees.dataset import read_table
 from mixtrees.sampler import SamplerConfig, load_draws, predict_from_archive
 
@@ -448,6 +448,7 @@ class TestConfigErrors:
             ("chains", "0", []),
             ("chains", "1", ["--chains", "-1"]),
             pytest.param("lambda_match", "mean\nnu = 2", [], id="lambda_match-mean-nu-2"),
+            ("n_kep", "10", []),
         ],
     )
     def test_bad_sampler_value(self, tmp_path, capsys, key, value, args):
@@ -459,7 +460,8 @@ class TestConfigErrors:
         assert not (out / "mini" / "mix_grid.csv").exists()
 
     @pytest.mark.parametrize(
-        "key, value", [("nu", "0"), ("lambda", "foo"), ("lambda_match", "foo")]
+        "key, value",
+        [("nu", "0"), ("lambda", "foo"), ("lambda_match", "foo"), ("n_kep", "10")],
     )
     def test_bad_sampler_value_for_bma(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
@@ -493,8 +495,10 @@ class TestSamplerKeys:
         return dataclasses.asdict(ExperimentConfig(path).sampler_config())
 
     def test_every_sampler_field_is_set_by_a_key(self, tmp_path):
-        # A field no key reaches is a setting only code can change.
+        # A field no key reaches is a setting only code can change, and a
+        # key left out keeps SamplerConfig's default.
         base = self.fields(tmp_path, {})
+        assert base == dataclasses.asdict(SamplerConfig())
         reached = set()
         for key, value in self.KEYS.items():
             got = self.fields(tmp_path, {key: value})
@@ -502,6 +506,29 @@ class TestSamplerKeys:
             assert len(changed) == 1, (key, changed)
             reached |= changed
         assert reached == {f.name for f in dataclasses.fields(SamplerConfig)}
+
+    def test_default_section_keys_are_not_unknown(self, tmp_path):
+        # configparser shows [DEFAULT]'s keys in every section.
+        path = tmp_path / "keys.cfg"
+        path.write_text("[DEFAULT]\nnoise_sd = 0.1\n\n[experiment]\nname = keys\n\n[sampler]\n")
+        assert ExperimentConfig(path).sampler_config() == SamplerConfig()
+
+    def test_readme_key_table_matches_defaults(self):
+        # README's [sampler] table names exactly the accepted keys, and each
+        # default it states parses to SamplerConfig's (chains: 1).
+        text = (ROOT / "README.md").read_text()
+        rows = {}
+        for line in text.split("| Key | Default | Meaning |\n")[1].splitlines()[1:]:
+            if not line.startswith("|"):
+                break
+            key, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+            rows[key] = default
+        assert set(rows) == set(SAMPLER_KEYS) | {"chains"}
+        assert int(rows.pop("chains")) == 1
+        defaults = SamplerConfig()
+        for key, default in rows.items():
+            name, parse = SAMPLER_KEYS[key]
+            assert parse(default) == getattr(defaults, name), key
 
 
 class TestBenchmarkHooks:

@@ -19,6 +19,7 @@ from mixtrees.sampler import (
     PredictionSet,
     SamplerConfig,
     fit_bmm,
+    fit_chains,
     load_draws,
     predict_from_archive,
     predict_mixed,
@@ -776,6 +777,40 @@ class TestValidation:
 
     def test_rmse_helper(self):
         assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
+
+
+class TestFitChains:
+    CFG = SamplerConfig(m=2, n_burn=5, n_keep=10, seed=4)
+
+    @staticmethod
+    def assert_same_draws(got, expected):
+        assert encoded(got) == encoded(expected)
+        np.testing.assert_array_equal(got.sigma2_trace, expected.sigma2_trace)
+        assert (got.n_proposals, got.n_accepted) == (
+            expected.n_proposals, expected.n_accepted
+        )
+        assert got.meta == expected.meta
+
+    def test_one_chain_is_fit_bmm(self):
+        data, ps = make_problem()
+        got = fit_chains(data, ps, self.CFG, 1)
+        self.assert_same_draws(got, fit_bmm(data, ps, self.CFG))
+        assert "chains" not in got.meta
+
+    def test_chains_pool_in_seed_order(self):
+        data, ps = make_problem()
+        got = fit_chains(data, ps, self.CFG, 2)
+        parts = [
+            fit_bmm(data, ps, dataclasses.replace(self.CFG, seed=seed))
+            for seed in (4, 5)
+        ]
+        self.assert_same_draws(got, PosteriorDraws.concat(parts))
+        assert got.meta["chains"] == 2
+
+    def test_needs_a_chain(self):
+        data, ps = make_problem()
+        with pytest.raises(ValueError, match="chain"):
+            fit_chains(data, ps, self.CFG, 0)
 
 
 def make_problem_2d(n=40, seed=4, mesh=5):

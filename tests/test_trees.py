@@ -202,7 +202,7 @@ class TestPriorSampling:
         for i in range(n_samples):
             t = sample_tree_from_prior(grid1d, rng)
             leaves[i] = t.n_leaves()
-            depths[i] = t.depth()
+            depths[i] = max(t.depths)
         assert 2.0 <= leaves.mean() <= 4.0
         assert depths.mean() <= 3.0
 
