@@ -237,6 +237,20 @@ class ExperimentConfig:
             np.column_stack(capped),
         )
 
+    def prediction_set(
+        self, data: ds.Dataset, grid: np.ndarray, scfg: sampler.SamplerConfig
+    ):
+        """Model names and the sampler's ``PredictionSet``, carrying the
+        training-point variances when ``scfg`` uses the informative prior."""
+        names, train_mean, train_var, grid_mean, _, _ = self.model_predictions(data, grid)
+        ps = sampler.PredictionSet(
+            means=train_mean,
+            variances=train_var if scfg.informative else None,
+            grid=grid,
+            grid_means=grid_mean,
+        )
+        return names, ps
+
     # ---- sampler ----------------------------------------------------------
 
     def sampler_config(self, seed_override=None) -> sampler.SamplerConfig:
@@ -396,13 +410,7 @@ def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=Non
     chains = cfg.n_chains(chains)
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
-    names, train_mean, train_var, grid_mean, _, _ = cfg.model_predictions(data, grid)
-    ps = sampler.PredictionSet(
-        means=train_mean,
-        variances=train_var if scfg.informative else None,
-        grid=grid,
-        grid_means=grid_mean,
-    )
+    names, ps = cfg.prediction_set(data, grid, scfg)
     draws = sampler.fit_chains(data, ps, scfg, chains)
     summary = sampler.predict_mixed(draws)
 

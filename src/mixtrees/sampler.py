@@ -10,6 +10,7 @@ finally draws sigma2 from its scaled inverse-chi-squared conditional.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -505,10 +506,34 @@ def fit_chains(
 ) -> PosteriorDraws:
     """Pool the kept draws of ``chains`` :func:`fit_bmm` runs, chain c at seed
     ``cfg.seed + c``, in chain order by :meth:`PosteriorDraws.concat` (which
-    sets ``meta["chains"]``); one chain's draws come back unchanged."""
+    sets ``meta["chains"]``); one chain's draws come back unchanged.
+
+    Chain 0 runs in the calling process.  With more than one chain and more
+    than one CPU, chains 1 to ``chains - 1`` run meanwhile in
+    ``min(chains, cpu count) - 1`` forked worker processes, which inherit the
+    imported modules and the built problem; the draws do not depend on the
+    worker count.  A worker's exception reaches the caller with its own type,
+    and every worker has exited when this returns or raises.
+    """
     if chains < 1:
         raise ValueError(f"need at least one chain, got {chains}")
-    parts = [fit_bmm(dataset, ps, replace(cfg, seed=cfg.seed + c)) for c in range(chains)]
+    configs = [replace(cfg, seed=cfg.seed + c) for c in range(chains)]
+    workers = min(chains, os.cpu_count() or 1) - 1
+    if workers == 0:
+        parts = [fit_bmm(dataset, ps, c) for c in configs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker would import numpy and scipy
+        # again (about 0.6 s for scipy.integrate), more than a short chain
+        # takes.  Chain 0 stays here, so in-process instrumentation of the
+        # sampler sees one whole chain.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [pool.submit(fit_bmm, dataset, ps, c) for c in configs[1:]]
+            parts = [fit_bmm(dataset, ps, configs[0])]
+            parts += [f.result() for f in futures]
     return parts[0] if chains == 1 else PosteriorDraws.concat(parts)
 
 

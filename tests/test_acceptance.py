@@ -49,16 +49,16 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def run_example(name: str):
-    cfg = ExperimentConfig(CONFIG_DIR / f"{name}.cfg")
+def run_example(path: Path):
+    cfg = ExperimentConfig(path)
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
-    names, train_mean, train_var, grid_mean, _, _ = cfg.model_predictions(data, grid)
+    scfg = cfg.sampler_config()
+    names, ps = cfg.prediction_set(data, grid, scfg)
     system, _ = cfg.system()
     truth = np.array([system(*row) for row in grid])
-    ps = PredictionSet(means=train_mean, grid=grid, grid_means=grid_mean)
     start = time.perf_counter()
-    draws = fit_chains(data, ps, cfg.sampler_config(), cfg.n_chains())
+    draws = fit_chains(data, ps, scfg, cfg.n_chains())
     elapsed = time.perf_counter() - start
     summary = predict_mixed(draws)
     return {
@@ -67,8 +67,7 @@ def run_example(name: str):
         "grid": grid,
         "truth": truth,
         "names": names,
-        "train_mean": train_mean,
-        "grid_mean": grid_mean,
+        "ps": ps,
         "draws": draws,
         "summary": summary,
         "rmse": rmse(summary.mean, truth),
@@ -78,17 +77,38 @@ def run_example(name: str):
 
 @pytest.fixture(scope="module")
 def example1a():
-    return run_example("example1a")
+    return run_example(CONFIG_DIR / "example1a.cfg")
 
 
 @pytest.fixture(scope="module")
 def example1b():
-    return run_example("example1b")
+    return run_example(CONFIG_DIR / "example1b.cfg")
 
 
 @pytest.fixture(scope="module")
 def example2():
-    return run_example("example2")
+    return run_example(CONFIG_DIR / "example2.cfg")
+
+
+class TestHarness:
+    def test_informative_config_gets_prediction_variances(self, tmp_path):
+        # The informative leaf prior reads the models' training-point
+        # variances, so the harness must hand them to the sampler.
+        text = (CONFIG_DIR / "example1a.cfg").read_text()
+        for old, new in (
+            ("informative = false", "informative = true"),
+            ("n_burn = 2000", "n_burn = 20"),
+            ("n_keep = 5000", "n_keep = 20"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "informative.cfg"
+        path.write_text(text)
+        result = run_example(path)
+        ps = result["ps"]
+        assert ps.variances is not None and ps.variances.shape == ps.means.shape
+        assert result["draws"].n_kept == 40  # 2 chains x 20 kept
+        assert np.all(np.isfinite(result["summary"].mean))
 
 
 class TestCriterion1Example1a:
@@ -134,8 +154,8 @@ class TestCriterion3Example2:
 class TestCriterion4BmaFailure:
     def test_bma_picks_weak_and_underperforms(self, example1a):
         data = example1a["data"]
-        train_mean = example1a["train_mean"]
-        grid_mean = example1a["grid_mean"]
+        train_mean = example1a["ps"].means
+        grid_mean = example1a["ps"].grid_means
         truth = example1a["truth"]
         noise = example1a["cfg"].sampler_config().noise_prior(train_mean, data.outputs)
         result = run_bma(data.outputs, train_mean, example1a["grid"], grid_mean, noise)

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from mixtrees.cli import SAMPLER_KEYS, ExperimentConfig, main, read_csv
 from mixtrees.dataset import read_table
-from mixtrees.sampler import SamplerConfig, load_draws, predict_from_archive
+from mixtrees.sampler import Chain, SamplerConfig, load_draws, predict_from_archive
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -249,6 +250,26 @@ class TestMix:
         _, _, cols = read_csv(out / "mini" / "sigma2_trace.csv")
         assert cols["draw"].size == 120  # 2 chains x 60 kept
 
+    def test_numeric_failure_in_worker_chain_exits_3(
+        self, mini_cfg, tmp_path, capsys, monkeypatch
+    ):
+        caller = os.getpid()
+        sweep = Chain.gibbs_sweep
+
+        def fails_in_worker(self, **kwargs):
+            if os.getpid() != caller:
+                raise FloatingPointError("chain 1 diverged")
+            return sweep(self, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(Chain, "gibbs_sweep", fails_in_worker)
+        out = tmp_path / "runs"
+        args = ["mix", "--config", str(mini_cfg), "--out", str(out), "--chains", "2"]
+        assert main(args) == 3
+        assert "chain 1 diverged" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (out / "mini" / "mix_grid.csv").exists()
+
     @pytest.mark.parametrize("chains", ["1", "2"])
     def test_archive_repredicts_mix_grid_exactly(self, mini_cfg, tmp_path, chains):
         out = tmp_path / "runs"
@@ -257,9 +278,9 @@ class TestMix:
         cfg = ExperimentConfig(mini_cfg)
         data = cfg.build_dataset()
         grid = cfg.eval_grid(data)
-        names, _, _, grid_means, _, _ = cfg.model_predictions(data, grid)
+        names, ps = cfg.prediction_set(data, grid, cfg.sampler_config())
         summary = predict_from_archive(
-            load_draws(out / "mini" / "draws.txt"), grid, grid_means
+            load_draws(out / "mini" / "draws.txt"), grid, ps.grid_means
         )
         expected = {
             "mean": summary.mean, "lo95": summary.lo, "hi95": summary.hi,
@@ -590,10 +611,12 @@ class TestImports:
 
     def test_cli_import_skips_scipy(self):
         # The series coefficients, the coefficient GP and bma import the
-        # scipy parts they use when they run.
+        # scipy parts they use when they run; only a multi-chain fit
+        # imports the process pool.
         run_python(
             "import sys, mixtrees.cli\n"
-            "for name in ('scipy.linalg', 'scipy.special', 'scipy.integrate'):\n"
+            "for name in ('scipy.linalg', 'scipy.special', 'scipy.integrate',\n"
+            "             'multiprocessing', 'concurrent.futures'):\n"
             "    assert name not in sys.modules, name"
         )
 

@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -811,6 +813,67 @@ class TestFitChains:
         data, ps = make_problem()
         with pytest.raises(ValueError, match="chain"):
             fit_chains(data, ps, self.CFG, 0)
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # One worker beside the caller on any host; every test leaves no
+        # worker process behind.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_more_chains_than_workers(self, two_cpus):
+        data, ps = make_problem()
+        got = fit_chains(data, ps, self.CFG, 3)
+        parts = [
+            fit_bmm(data, ps, dataclasses.replace(self.CFG, seed=seed))
+            for seed in (4, 5, 6)
+        ]
+        self.assert_same_draws(got, PosteriorDraws.concat(parts))
+
+    def test_one_cpu_starts_no_worker(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        data, ps = make_problem()
+        got = fit_chains(data, ps, self.CFG, 2)
+        monkeypatch.undo()
+        self.assert_same_draws(got, fit_chains(data, ps, self.CFG, 2))
+
+    def test_caller_runs_chain_zero(self, two_cpus, monkeypatch):
+        # A tracer that patches the sampler in the calling process sees
+        # exactly one chain's sweeps.
+        calls = []
+        sweep = Chain.gibbs_sweep
+
+        def counted(self, **kwargs):
+            calls.append(kwargs)
+            return sweep(self, **kwargs)
+
+        monkeypatch.setattr(Chain, "gibbs_sweep", counted)
+        cfg = dataclasses.replace(self.CFG, thin=2)
+        data, ps = make_problem()
+        fit_chains(data, ps, cfg, 2)
+        assert len(calls) == cfg.n_burn + cfg.n_keep * cfg.thin
+
+    @pytest.mark.parametrize("in_worker", [True, False])
+    def test_chain_error_reaches_caller(self, two_cpus, monkeypatch, in_worker):
+        caller = os.getpid()
+        sweep = Chain.gibbs_sweep
+
+        def fails(self, **kwargs):
+            if (os.getpid() != caller) == in_worker:
+                raise FloatingPointError("chain diverged")
+            return sweep(self, **kwargs)
+
+        monkeypatch.setattr(Chain, "gibbs_sweep", fails)
+        data, ps = make_problem()
+        with pytest.raises(FloatingPointError, match="chain diverged"):
+            fit_chains(data, ps, self.CFG, 2)
 
 
 def make_problem_2d(n=40, seed=4, mesh=5):
