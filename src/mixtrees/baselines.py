@@ -9,6 +9,7 @@ of the model means under the posterior model probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,7 @@ def model_log_evidence(y, predictions, noise: NoisePrior) -> float:
 
     With mean fixed at the model prediction and sigma2 ~ nu*lambda/chi2_nu,
     the marginal is proportional to (nu*lambda + SSE)^(-(nu+n)/2).
-    Only ``bma`` needs this, so ``scipy.special`` is imported here.
     """
-    from scipy.special import gammaln
-
     y = np.asarray(y, dtype=float).ravel()
     pred = np.asarray(predictions, dtype=float).ravel()
     if pred.size != y.size:
@@ -58,8 +56,8 @@ def model_log_evidence(y, predictions, noise: NoisePrior) -> float:
     return float(
         -0.5 * n * np.log(2.0 * np.pi)
         + 0.5 * nu * np.log(0.5 * nu * lam)
-        - gammaln(0.5 * nu)
-        + gammaln(0.5 * (nu + n))
+        - math.lgamma(0.5 * nu)
+        + math.lgamma(0.5 * (nu + n))
         - 0.5 * (nu + n) * np.log(0.5 * (nu * lam + sse))
     )
 

@@ -9,6 +9,7 @@ dataset is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,22 +61,31 @@ class Dataset:
         return self.inputs.shape[1]
 
 
+# Trapezoid nodes t = 0, 0.1, ..., 10 of the phi4 truth integral.
+_PHI4_NODES = np.arange(101) / 10.0
+
+
 def true_system_phi4(x: float) -> float:
     """Partition-function integral exp(-u^2/2 - x^2 u^4) over the real line.
 
-    Evaluated by adaptive quadrature over [-10, 10].  Each tail beyond +-10
-    is below 1e-22, under half an ULP of the integral, so adding it would
-    not change the result.  ``scipy.integrate`` is imported here, so runs
-    that never integrate skip it.
+    The integrand is even, so the integral is twice the half-line one,
+    evaluated by the trapezoid rule on the fixed nodes u = t / s with
+    t = 0, 0.1, ..., 10 and s = max(1, sqrt|x|): 2 h (f(0)/2 + f(u_1) + ...)
+    with h = 0.1 / s, the sum correctly rounded by ``math.fsum``.  The
+    scale s keeps the nodes on the integrand's width, which is 1 for small
+    x and shrinks as 1/sqrt(x) once the quartic term dominates.  The
+    integrand is entire and decays fast, so the rule converges
+    exponentially in 1/h (Trefethen & Weideman 2014): it is within 1 ulp of
+    the Bessel closed form for x = 0 and x in [1e-8, 1e3].  The tail beyond
+    the last node is below half an ulp of the integral: the integrand there
+    is below exp(-50) for s = 1 and below exp(-1e4) otherwise.
     """
-    from scipy.integrate import quad
-
     x2 = float(x) ** 2
-
-    def integrand(u):
-        return np.exp(-0.5 * u * u - x2 * u ** 4)
-
-    return quad(integrand, -10.0, 10.0, epsabs=1e-11, epsrel=1e-12, limit=200)[0]
+    s = max(1.0, math.sqrt(abs(x)))
+    u = _PHI4_NODES / s
+    f = np.exp(-0.5 * u * u - x2 * u ** 4)
+    f[0] *= 0.5
+    return 0.2 / s * math.fsum(f)
 
 
 def true_system_2d(x1: float, x2: float) -> float:

@@ -508,33 +508,44 @@ def fit_chains(
     ``cfg.seed + c``, in chain order by :meth:`PosteriorDraws.concat` (which
     sets ``meta["chains"]``); one chain's draws come back unchanged.
 
-    Chain 0 runs in the calling process.  With more than one chain and more
-    than one CPU, chains 1 to ``chains - 1`` run meanwhile in
-    ``min(chains, cpu count) - 1`` forked worker processes, which inherit the
-    imported modules and the built problem; the draws do not depend on the
-    worker count.  A worker's exception reaches the caller with its own type,
-    and every worker has exited when this returns or raises.
+    With more than one chain and more than one CPU, the chains are dealt
+    round-robin over the calling process and ``W = min(chains, cpu count) - 1``
+    forked worker processes, which inherit the imported modules and the
+    built problem: the caller runs chains 0, W + 1, 2(W + 1), ... and worker
+    w runs chains w, w + W + 1, ...  The draws do not depend on the worker
+    count.  A worker's exception reaches the caller with its own type, and
+    every worker has exited when this returns or raises.
     """
     if chains < 1:
         raise ValueError(f"need at least one chain, got {chains}")
     configs = [replace(cfg, seed=cfg.seed + c) for c in range(chains)]
-    workers = min(chains, os.cpu_count() or 1) - 1
-    if workers == 0:
-        parts = [fit_bmm(dataset, ps, c) for c in configs]
+    procs = min(chains, os.cpu_count() or 1)
+    if procs == 1:
+        dealt = [_fit_each(dataset, ps, configs)]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork, not spawn: a spawned worker would import numpy and scipy
-        # again (about 0.6 s for scipy.integrate), more than a short chain
-        # takes.  Chain 0 stays here, so in-process instrumentation of the
-        # sampler sees one whole chain.
+        # fork, not spawn: a forked worker inherits numpy and the built
+        # problem, where a spawned one would import numpy again and unpickle
+        # the problem.  Chain 0 stays here, so in-process instrumentation of
+        # the sampler sees whole chains.
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            futures = [pool.submit(fit_bmm, dataset, ps, c) for c in configs[1:]]
-            parts = [fit_bmm(dataset, ps, configs[0])]
-            parts += [f.result() for f in futures]
+        with ProcessPoolExecutor(procs - 1, mp_context=context) as pool:
+            futures = [
+                pool.submit(_fit_each, dataset, ps, configs[w::procs])
+                for w in range(1, procs)
+            ]
+            dealt = [_fit_each(dataset, ps, configs[::procs])]
+            dealt += [f.result() for f in futures]
+    # Process p ran chains p, p + procs, ..., in that order.
+    parts = [dealt[c % procs][c // procs] for c in range(chains)]
     return parts[0] if chains == 1 else PosteriorDraws.concat(parts)
+
+
+def _fit_each(dataset, ps: PredictionSet, configs) -> list[PosteriorDraws]:
+    """:func:`fit_bmm` at each config in turn."""
+    return [fit_bmm(dataset, ps, c) for c in configs]
 
 
 @dataclass

@@ -302,14 +302,14 @@ class TestMix:
     # and then needs its own values.
     GOLDEN = {
         "1": (
-            "b757319825d7735c2b53139f1ab74adb1d8c8f49c50bcbcff9dfd87508d380bf",
-            "f3e96e4f7461b3f0cf0ce94b4a79aea50a926c75eae01820d82dcb97fd48a343",
-            "aba037c05091630f0e17c96c71e6032bf4512b01bd4181347941169db2257d92",
+            "b351a48751eb9c725af2028104ab7ae86d88a84e77541535531d8a3d40febb2e",
+            "531fd20024966f2b8946307a6765d5e62c705d7d23b821e64fe2c2115863181f",
+            "b00a22c59f2788034dfaeb4466aeba0d1cd1b059967dfd0ccc1b945589eb86dd",
         ),
         "2": (
-            "cc7e6524ea42291aa315adc8b24fb1f2a3dc14c07e28d558ffcb6f8d4032e671",
-            "254439af4011f128994d63b2768dba38837396712c3083c3f9b1514d41cce1db",
-            "574b8edb80f448b5efcce296f6a6ec9690b0cb55c2f89611732f9148933486ff",
+            "bbdaf110fad7c5c45810ac0e88fb356b0357733605a52607274cfab887d028a1",
+            "f74d35fc078169fba6df1fa392180d6c1543a5a9d78876d28d6ea1ff98d17b57",
+            "7f8c4cf05f393b85f01bbbcc72d5bb5cf0baeb8278487acaab2f0e2d1737cf26",
         ),
     }
 
@@ -604,20 +604,28 @@ def run_python(code):
 
 
 class TestImports:
-    def test_cli_import_skips_scipy_integrate(self):
-        # Only the phi4 truth integrates, so no other run should pay for
-        # importing scipy.integrate.
-        run_python("import sys, mixtrees.cli; assert 'scipy.integrate' not in sys.modules")
-
     def test_cli_import_skips_scipy(self):
-        # The series coefficients, the coefficient GP and bma import the
-        # scipy parts they use when they run; only a multi-chain fit
-        # imports the process pool.
+        # The package needs no scipy; only a multi-chain fit imports the
+        # process pool.
         run_python(
             "import sys, mixtrees.cli\n"
-            "for name in ('scipy.linalg', 'scipy.special', 'scipy.integrate',\n"
-            "             'multiprocessing', 'concurrent.futures'):\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+            "for name in ('multiprocessing', 'concurrent.futures'):\n"
             "    assert name not in sys.modules, name"
+        )
+
+    def test_phi4_commands_import_no_scipy(self, mini_cfg, tmp_path):
+        # The phi4 truth, the series coefficients, the coefficient GP and
+        # the bma evidence are numpy and math only.
+        out = str(tmp_path / "runs")
+        run_python(
+            "import sys\n"
+            "from mixtrees.cli import main\n"
+            "for command in ('mix', 'fit-eft', 'bma'):\n"
+            f"    assert main([command, '--config', {str(mini_cfg)!r}, '--out', {out!r}]) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded"
         )
 
     def test_mix_without_series_imports_no_scipy(self, mini_2d_cfg, tmp_path):

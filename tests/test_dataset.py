@@ -24,11 +24,20 @@ PHI4_ORACLE = {
 
 
 class TestTrueSystemPhi4:
+    # The couplings the truth is taken at: a wide log range, and the
+    # training and evaluation grids of the shipped configs and benchmark
+    # workloads.
+    COUPLINGS = np.concatenate(
+        [[0.0], np.geomspace(1e-8, 1e3, 200)]
+        + [linspace_grid(0.03, 0.50, n) for n in (20, 300, 2000)]
+    )
+
     def test_at_zero_is_gaussian_integral(self):
         assert true_system_phi4(0.0) == pytest.approx(SQRT_2PI, abs=1e-10)
 
     def test_even_in_x(self):
-        assert true_system_phi4(0.2) == pytest.approx(true_system_phi4(-0.2), abs=0)
+        for x in self.COUPLINGS:
+            assert true_system_phi4(-x) == true_system_phi4(x)
 
     @pytest.mark.parametrize("x,expected", sorted(PHI4_ORACLE.items()))
     def test_against_independent_quadrature(self, x, expected):
@@ -40,17 +49,31 @@ class TestTrueSystemPhi4:
         assert np.all(np.diff(vals) < 0)
 
     def test_tails_beyond_ten_are_below_half_an_ulp(self):
-        # The quadrature stops at +-10; each tail it leaves out is too small
-        # to change the rounded integral.
+        # The rule's last node is t = 10, at u = 10 / max(1, sqrt|x|); the
+        # tail it leaves out is too small to change the rounded integral.
         from scipy.integrate import quad
 
         for x in np.geomspace(1e-8, 1e3, 60):
             x2 = float(x) ** 2
+            u_last = 10.0 / max(1.0, np.sqrt(x))
             tail, _ = quad(
-                lambda u: np.exp(-0.5 * u * u - x2 * u ** 4), 10.0, np.inf, epsabs=1e-30
+                lambda u: np.exp(-0.5 * u * u - x2 * u ** 4), u_last, np.inf, epsabs=1e-30
             )
             core = true_system_phi4(x)
             assert 0.0 <= tail < np.spacing(core) / 2
+
+    def test_within_four_ulp_of_adaptive_quadrature(self):
+        # Reference: adaptive quadrature over [-10, 10].  It is itself up to
+        # 4 ulp off the Bessel closed form, the trapezoid rule at most 1.
+        from scipy.integrate import quad
+
+        for x in self.COUPLINGS:
+            x2 = float(x) ** 2
+            ref = quad(
+                lambda u: np.exp(-0.5 * u * u - x2 * u ** 4), -10.0, 10.0,
+                epsabs=1e-11, epsrel=1e-12, limit=200,
+            )[0]
+            assert abs(true_system_phi4(x) - ref) <= 4 * np.spacing(ref), x
 
 
 class TestTrueSystem2d:

@@ -1,3 +1,6 @@
+from math import factorial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,10 @@ from mixtrees.eft import (
     weak_coefficients,
     weak_expansion,
 )
+from mixtrees.cli import ExperimentConfig
 from mixtrees.dataset import linspace_grid, true_system_phi4
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SQRT_2PI = 2.5066282746310005
 
@@ -50,6 +56,22 @@ class TestCoefficients:
     def test_strong_signs_alternate(self):
         c = strong_coefficients(6)
         assert np.all(np.sign(c) == [1, -1, 1, -1, 1, -1, 1])
+
+    def test_within_four_ulp_of_scipy_gamma(self):
+        from scipy.special import gamma
+
+        weak = [
+            np.sqrt(2.0) * gamma(t + 0.5) / factorial(t // 2) * (-4.0) ** (t // 2)
+            if t % 2 == 0 else 0.0
+            for t in range(13)
+        ]
+        strong = [
+            gamma(0.5 * t + 0.25) / (2.0 * factorial(t)) * (-0.5) ** t
+            for t in range(13)
+        ]
+        for got, ref in ((weak_coefficients(12), weak), (strong_coefficients(12), strong)):
+            ref = np.array(ref)
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
 class TestEvaluateExpansion:
@@ -216,6 +238,53 @@ class TestFitEft:
             hits += abs(cbar2 - 1.0) <= 0.5
         assert hits / n_rep >= 0.8
         assert np.mean(estimates) == pytest.approx(1.0, abs=0.25)
+
+
+def cho_solve_fit(C, xs, nu0=5.0, lambda0=1.0, n_ell=50, nugget=1e-8):
+    """(cbar2, ell) of :func:`fit_coefficient_gp` through scipy's Cholesky
+    solve, the reference for the numpy forward substitution."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    d2 = (xs[:, None] - xs[None, :]) ** 2
+    width = np.sqrt(d2.max())
+    nu_post = nu0 + C.size
+    best = (-np.inf, None, None)
+    for ell in np.geomspace(0.01 * width, 10.0 * width, n_ell):
+        cf = cho_factor(np.exp(-0.5 * d2 / ell ** 2) + nugget * np.eye(len(xs)), lower=True)
+        logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
+        quad_sum = float(np.sum(C * cho_solve(cf, C)))
+        score = -0.5 * C.shape[1] * logdet - 0.5 * nu_post * np.log(nu0 * lambda0 + quad_sum)
+        if score > best[0]:
+            best = (score, ell, quad_sum)
+    _, ell, quad_sum = best
+    return (nu0 * lambda0 + quad_sum) / (nu_post - 2.0), ell
+
+
+def shipped_gp_models():
+    """(config, section) of every truncation-GP model in the shipped configs."""
+    models = []
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        cfg = ExperimentConfig(path)
+        models += [(path.name, s) for s in cfg.model_sections if cfg.build_model(s)[4]]
+    return models
+
+
+class TestCoefficientGpReference:
+    @pytest.mark.parametrize("config,section", shipped_gp_models())
+    def test_matches_cho_solve_fit(self, config, section):
+        _, exp, q_map, yref_map, _, design = ExperimentConfig(
+            CONFIG_DIR / config
+        ).build_model(section)
+        gp = fit_eft(exp, design, q_map, yref_map)
+        cbar2, ell = cho_solve_fit(gp.design_coefficients, design)
+        assert gp.ell == ell
+        assert gp.cbar2 == pytest.approx(cbar2, rel=1e-12, abs=0)
+
+    def test_non_finite_coefficient_rejected(self):
+        C = np.zeros((3, 2))
+        C[1, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            fit_coefficient_gp(C, [0.1, 0.2, 0.3])
 
 
 @pytest.fixture(scope="module")

@@ -844,9 +844,9 @@ class TestFitChains:
         monkeypatch.undo()
         self.assert_same_draws(got, fit_chains(data, ps, self.CFG, 2))
 
-    def test_caller_runs_chain_zero(self, two_cpus, monkeypatch):
-        # A tracer that patches the sampler in the calling process sees
-        # exactly one chain's sweeps.
+    @staticmethod
+    def count_caller_sweeps(monkeypatch):
+        """The list that each sweep run in this process appends to."""
         calls = []
         sweep = Chain.gibbs_sweep
 
@@ -855,10 +855,29 @@ class TestFitChains:
             return sweep(self, **kwargs)
 
         monkeypatch.setattr(Chain, "gibbs_sweep", counted)
+        return calls
+
+    def test_caller_runs_chain_zero(self, two_cpus, monkeypatch):
+        # A tracer that patches the sampler in the calling process sees
+        # exactly one chain's sweeps.
+        calls = self.count_caller_sweeps(monkeypatch)
         cfg = dataclasses.replace(self.CFG, thin=2)
         data, ps = make_problem()
         fit_chains(data, ps, cfg, 2)
         assert len(calls) == cfg.n_burn + cfg.n_keep * cfg.thin
+
+    def test_caller_shares_chains_with_workers(self, two_cpus, monkeypatch):
+        # Four chains over the caller and one worker: each runs two, dealt
+        # round-robin, and the pool still comes back in chain order.
+        calls = self.count_caller_sweeps(monkeypatch)
+        data, ps = make_problem()
+        got = fit_chains(data, ps, self.CFG, 4)
+        assert len(calls) == 2 * (self.CFG.n_burn + self.CFG.n_keep)
+        parts = [
+            fit_bmm(data, ps, dataclasses.replace(self.CFG, seed=seed))
+            for seed in (4, 5, 6, 7)
+        ]
+        self.assert_same_draws(got, PosteriorDraws.concat(parts))
 
     @pytest.mark.parametrize("in_worker", [True, False])
     def test_chain_error_reaches_caller(self, two_cpus, monkeypatch, in_worker):
