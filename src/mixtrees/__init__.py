@@ -57,7 +57,6 @@ from .calibration import (
 )
 from .sampler import (
     Chain,
-    DrawTable,
     MixedSummary,
     PosteriorDraws,
     PredictionSet,

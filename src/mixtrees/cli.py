@@ -15,6 +15,7 @@ import configparser
 import hashlib
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,16 @@ SYSTEMS = {
 }
 
 _PI_LITERALS = {"pi": math.pi, "-pi": -math.pi}
+
+
+@contextmanager
+def _settings(where: str):
+    """Report a ValueError that the library raises on config values as a
+    ConfigError naming ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad {where} settings: {exc}") from exc
 
 
 def _parse_center(text: str) -> float:
@@ -124,85 +135,86 @@ class ExperimentConfig:
             if not path.exists():
                 raise ConfigError(f"dataset file not found: {path}")
             return ds.read_table(path)
-        system, dim = self.system()
-        noise_sd = self._get("dataset", "noise_sd", float)
-        seed = self.dataset_seed() if seed_override is None else seed_override
-        if dim == 1:
-            grid = ds.linspace_grid(
-                self._get("dataset", "grid_lo", float),
-                self._get("dataset", "grid_hi", float),
-                self._get("dataset", "grid_n", int),
-            )
-            return ds.generate_observations(system, grid, noise_sd, seed)
-        n = self._get("dataset", "n", int)
-        lo = np.array(
-            [self._get("dataset", "x1_lo", float), self._get("dataset", "x2_lo", float)]
-        )
-        hi = np.array(
-            [self._get("dataset", "x1_hi", float), self._get("dataset", "x2_hi", float)]
-        )
-        design_rng = np.random.default_rng(seed)
-        points = design_rng.uniform(lo, hi, size=(n, 2))
-        # Pass a distinct stream for the noise so design and noise decouple.
-        return ds.generate_observations(system, points, noise_sd, seed + 1)
+        with _settings("[dataset]"):
+            system, dim = self.system()
+            noise_sd = self._get("dataset", "noise_sd", float)
+            seed = self.dataset_seed() if seed_override is None else seed_override
+            if dim == 1:
+                grid = ds.linspace_grid(
+                    self._get("dataset", "grid_lo", float),
+                    self._get("dataset", "grid_hi", float),
+                    self._get("dataset", "grid_n", int),
+                )
+                return ds.generate_observations(system, grid, noise_sd, seed)
+            n = self._get("dataset", "n", int)
+            lo = np.array([self._get("dataset", f"x{v}_lo", float) for v in (1, 2)])
+            hi = np.array([self._get("dataset", f"x{v}_hi", float) for v in (1, 2)])
+            if not np.isfinite([lo, hi]).all():
+                raise ValueError("input bounds must be finite")
+            design_rng = np.random.default_rng(seed)
+            points = design_rng.uniform(lo, hi, size=(n, 2))
+            # Pass a distinct stream for the noise so design and noise decouple.
+            return ds.generate_observations(system, points, noise_sd, seed + 1)
 
     def eval_grid(self, data: ds.Dataset) -> np.ndarray:
-        lo, hi = data.inputs.min(axis=0), data.inputs.max(axis=0)
-        if data.dim == 1:
-            n = self._get("evaluation", "grid_n", int, 300)
-            return ds.linspace_grid(float(lo[0]), float(hi[0]), n)[:, None]
-        per_dim = self._get("evaluation", "mesh_per_dim", int, 18)
-        axes = [np.linspace(lo[v], hi[v], per_dim) for v in range(data.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        with _settings("[evaluation]"):
+            lo, hi = data.inputs.min(axis=0), data.inputs.max(axis=0)
+            if data.dim == 1:
+                n = self._get("evaluation", "grid_n", int, 300)
+                return ds.linspace_grid(float(lo[0]), float(hi[0]), n)[:, None]
+            per_dim = self._get("evaluation", "mesh_per_dim", int, 18)
+            axes = [ds.linspace_grid(lo[v], hi[v], per_dim) for v in range(data.dim)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            return np.column_stack([m.ravel() for m in mesh])
 
     # ---- models ----------------------------------------------------------
 
     def build_model(self, section: str):
         """Returns (name, expansion, q_map, yref_map, use_gp, design_inputs)."""
-        sec = self.parser[section]
-        name = section.split(".", 1)[1]
-        kind = sec.get("kind")
-        if kind in ("weak", "strong"):
-            order = self._get(section, "order", int)
-            scale_name = sec.get("scale", "one")
-            if scale_name not in eft.YREF_MAPS:
-                raise ConfigError(f"unknown scale {scale_name!r} in [{section}]")
-            scale = None if scale_name == "one" else eft.YREF_MAPS[scale_name]
-            exp = (
-                eft.weak_expansion(order, scale=scale)
-                if kind == "weak"
-                else eft.strong_expansion(order, scale=scale)
-            )
-        elif kind == "taylor_surface":
-            exp = eft.taylor_surface_simulator(
-                _parse_center(sec.get("sin_center", "0")),
-                self._get(section, "sin_order", int),
-                _parse_center(sec.get("cos_center", "0")),
-                self._get(section, "cos_order", int),
-            )
-        else:
-            raise ConfigError(f"unknown model kind {kind!r} in [{section}]")
+        with _settings(f"[{section}]"):
+            sec = self.parser[section]
+            name = section.split(".", 1)[1]
+            kind = sec.get("kind")
+            if kind in ("weak", "strong"):
+                order = self._get(section, "order", int)
+                scale_name = sec.get("scale", "one")
+                if scale_name not in eft.YREF_MAPS:
+                    raise ConfigError(f"unknown scale {scale_name!r} in [{section}]")
+                scale = None if scale_name == "one" else eft.YREF_MAPS[scale_name]
+                exp = (
+                    eft.weak_expansion(order, scale=scale)
+                    if kind == "weak"
+                    else eft.strong_expansion(order, scale=scale)
+                )
+            elif kind == "taylor_surface":
+                exp = eft.taylor_surface_simulator(
+                    _parse_center(sec.get("sin_center", "0")),
+                    self._get(section, "sin_order", int),
+                    _parse_center(sec.get("cos_center", "0")),
+                    self._get(section, "cos_order", int),
+                )
+            else:
+                raise ConfigError(f"unknown model kind {kind!r} in [{section}]")
 
-        use_gp = sec.get("truncation", "gp" if kind != "taylor_surface" else "none")
-        if use_gp not in ("gp", "none"):
-            raise ConfigError(f"truncation must be 'gp' or 'none' in [{section}]")
-        q_map = yref_map = None
-        design = None
-        if use_gp == "gp":
-            q_name = sec.get("q_map", "x")
-            y_name = sec.get("yref_map", "one")
-            if q_name not in eft.Q_MAPS:
-                raise ConfigError(f"unknown q_map {q_name!r} in [{section}]")
-            if y_name not in eft.YREF_MAPS:
-                raise ConfigError(f"unknown yref_map {y_name!r} in [{section}]")
-            q_map, yref_map = eft.Q_MAPS[q_name], eft.YREF_MAPS[y_name]
-            design = ds.linspace_grid(
-                self._get(section, "design_lo", float),
-                self._get(section, "design_hi", float),
-                self._get(section, "n_design", int),
-            )
-        return name, exp, q_map, yref_map, use_gp == "gp", design
+            use_gp = sec.get("truncation", "gp" if kind != "taylor_surface" else "none")
+            if use_gp not in ("gp", "none"):
+                raise ConfigError(f"truncation must be 'gp' or 'none' in [{section}]")
+            q_map = yref_map = None
+            design = None
+            if use_gp == "gp":
+                q_name = sec.get("q_map", "x")
+                y_name = sec.get("yref_map", "one")
+                if q_name not in eft.Q_MAPS:
+                    raise ConfigError(f"unknown q_map {q_name!r} in [{section}]")
+                if y_name not in eft.YREF_MAPS:
+                    raise ConfigError(f"unknown yref_map {y_name!r} in [{section}]")
+                q_map, yref_map = eft.Q_MAPS[q_name], eft.YREF_MAPS[y_name]
+                design = ds.linspace_grid(
+                    self._get(section, "design_lo", float),
+                    self._get(section, "design_hi", float),
+                    self._get(section, "n_design", int),
+                )
+            return name, exp, q_map, yref_map, use_gp == "gp", design
 
     def model_predictions(self, data: ds.Dataset, grid: np.ndarray):
         """Per-model predictions at training points and on the grid."""
@@ -266,10 +278,8 @@ class ExperimentConfig:
         }
         if seed_override is not None:
             settings["seed"] = seed_override
-        try:
+        with _settings("[sampler]"):
             return sampler.SamplerConfig(**settings)
-        except ValueError as exc:
-            raise ConfigError(f"bad [sampler] settings: {exc}") from exc
 
     def n_chains(self, override=None) -> int:
         chains = override
@@ -412,7 +422,7 @@ def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=Non
     grid = cfg.eval_grid(data)
     names, ps = cfg.prediction_set(data, grid, scfg)
     draws = sampler.fit_chains(data, ps, scfg, chains)
-    summary = sampler.predict_mixed(draws)
+    summary = sampler.predict_mixed(draws, ps.grid, ps.grid_means)
 
     meta = {
         "config_hash": cfg.config_hash,

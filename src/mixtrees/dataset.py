@@ -49,8 +49,8 @@ class Dataset:
             raise ValueError("non-finite input coordinate")
         if not np.all(np.isfinite(self.outputs)):
             raise ValueError("non-finite output")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError("noise_sd must be finite and nonnegative")
 
     @property
     def n(self) -> int:
@@ -97,8 +97,8 @@ def linspace_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """n evenly spaced points with the endpoints included."""
     if n < 2:
         raise ValueError("grid needs at least 2 points")
-    if not lo < hi:
-        raise ValueError("grid requires lo < hi")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError("grid requires finite lo < hi")
     return np.linspace(lo, hi, n)
 
 
@@ -114,8 +114,8 @@ def generate_observations(system, inputs, noise_sd: float, seed: int) -> Dataset
         inputs = inputs[:, None]
     if inputs.shape[0] == 0:
         raise ValueError("inputs must be nonempty")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError("noise_sd must be finite and nonnegative")
     clean = np.array([float(system(*row)) for row in inputs])
     if not np.all(np.isfinite(clean)):
         bad = int(np.flatnonzero(~np.isfinite(clean))[0])

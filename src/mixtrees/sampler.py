@@ -11,7 +11,7 @@ finally draws sigma2 from its scaled inverse-chi-squared conditional.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -102,10 +102,10 @@ class SamplerConfig:
             raise ValueError("min_leaf_n must be at least 1")
         if self.n_keep < 1 or self.thin < 1 or self.n_burn < 0:
             raise ValueError("bad iteration counts")
-        if not (self.k > 0 and self.nu > 0):
-            raise ValueError("k and nu must be positive")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        if not (0 < self.k < np.inf and 0 < self.nu < np.inf):
+            raise ValueError("k and nu must be positive and finite")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.lam_match not in ("mode", "mean"):
             raise ValueError(f"lambda_match must be 'mode' or 'mean', got {self.lam_match!r}")
         if self.lam is None and self.lam_match == "mean" and self.nu <= 2:
@@ -323,37 +323,50 @@ def _extend(buf: np.ndarray, n: int, rows) -> np.ndarray:
     return buf
 
 
-class DrawTable:
-    """The trees of the kept draws, each distinct structure held once.
+class PosteriorDraws:
+    """Kept MCMC output: sigma2 and the m trees of each kept draw, with each
+    distinct tree structure held once.
 
     A structure (:func:`_structure_key`) is interned as a skeleton
     :class:`Tree` without leaf values, with its leaf nodes in pre-order.
-    Kept draw s holds one row of m structure ids (``ids[s]``) and m offsets
-    (``offsets[s]``): the leaf vectors of its tree j are the rows
-    ``offsets[s, j]`` onwards of the (total leaves, K) array ``values``, in
-    pre-order.
+    Kept draw s holds ``sigma2_trace[s]``, one row of m structure ids
+    (``ids[s]``) and m offsets (``offsets[s]``): the leaf vectors of its
+    tree j are the rows ``offsets[s, j]`` onwards of the (total leaves, K)
+    array ``values``, in pre-order.  :meth:`append` copies the leaf vectors,
+    so the chain's later moves leave the kept draws alone.
     """
 
     def __init__(self):
         self.skeletons: list[Tree] = []
         self.leaf_nodes: list[list[int]] = []
         self._index = {}
-        self.n_draws = self.n_leaves = 0
+        self.n_kept = self.n_leaves = 0
+        self._sigma2 = np.empty(0)
         self._ids = np.empty((0, 0), dtype=np.intp)
         self._offsets = np.empty((0, 0), dtype=np.intp)
         self._values = np.empty((0, 0))
+        self.n_proposals = self.n_accepted = 0
+        self.meta: dict = {}
+
+    @property
+    def sigma2_trace(self) -> np.ndarray:
+        return self._sigma2[: self.n_kept]
 
     @property
     def ids(self) -> np.ndarray:
-        return self._ids[: self.n_draws]
+        return self._ids[: self.n_kept]
 
     @property
     def offsets(self) -> np.ndarray:
-        return self._offsets[: self.n_draws]
+        return self._offsets[: self.n_kept]
 
     @property
     def values(self) -> np.ndarray:
         return self._values[: self.n_leaves]
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.n_accepted / self.n_proposals if self.n_proposals else 0.0
 
     def _intern(self, tree: Tree) -> int:
         key = _structure_key(tree)
@@ -365,30 +378,40 @@ class DrawTable:
             self.leaf_nodes.append(tree.leaf_nodes())
         return sid
 
-    def _add(self, ids, offsets, values) -> None:
-        self._ids = _extend(self._ids, self.n_draws, ids)
-        self._offsets = _extend(self._offsets, self.n_draws, offsets)
+    def _add(self, sigma2, ids, offsets, values) -> None:
+        self._sigma2 = _extend(self._sigma2, self.n_kept, sigma2)
+        self._ids = _extend(self._ids, self.n_kept, ids)
+        self._offsets = _extend(self._offsets, self.n_kept, offsets)
         self._values = _extend(self._values, self.n_leaves, values)
-        self.n_draws += len(ids)
+        self.n_kept += len(ids)
         self.n_leaves += len(values)
 
-    def append(self, trees: list[Tree]) -> None:
-        """Add one draw: the structures and current leaf vectors of ``trees``."""
+    def append(self, sigma2: float, trees: list[Tree]) -> None:
+        """Keep one draw: ``sigma2`` and the structures and current leaf
+        vectors of ``trees``."""
         ids, offsets, values = [], [], []
         for tree in trees:
             sid = self._intern(tree)
             ids.append(sid)
             offsets.append(self.n_leaves + len(values))
             values += [tree.values[i] for i in self.leaf_nodes[sid]]
-        self._add([ids], [offsets], np.array(values, dtype=float))
+        self._add([sigma2], [ids], [offsets], np.array(values, dtype=float))
 
     @classmethod
-    def concat(cls, tables: list["DrawTable"]) -> "DrawTable":
-        """The draws of ``tables`` in order, with their structures re-interned."""
+    def concat(cls, parts: list["PosteriorDraws"]) -> "PosteriorDraws":
+        """The draws of ``parts`` in order, with their structures re-interned
+        and their proposal counts summed; ``meta`` is the first part's plus
+        ``chains``."""
         out = cls()
-        for table in tables:
-            new_ids = np.array([out._intern(t) for t in table.skeletons], dtype=np.intp)
-            out._add(new_ids[table.ids], table.offsets + out.n_leaves, table.values)
+        for part in parts:
+            new_ids = np.array([out._intern(t) for t in part.skeletons], dtype=np.intp)
+            out._add(
+                part.sigma2_trace, new_ids[part.ids],
+                part.offsets + out.n_leaves, part.values,
+            )
+        out.n_proposals = sum(p.n_proposals for p in parts)
+        out.n_accepted = sum(p.n_accepted for p in parts)
+        out.meta = dict(parts[0].meta, chains=len(parts))
         return out
 
     def encoded(self, s: int) -> list[str]:
@@ -399,7 +422,7 @@ class DrawTable:
         ]
 
     def weights(self, X) -> np.ndarray:
-        """(n_draws, len(X), K) weight vectors: per draw, the leaf vectors its
+        """(n_kept, len(X), K) weight vectors: per draw, the leaf vectors its
         trees reach, summed in tree order.
 
         Each structure routes X once.  The sums run one draw at a time so
@@ -412,54 +435,12 @@ class DrawTable:
             position[leaves] = np.arange(len(leaves))
             slots.append(position.take(tree.leaf_index(X)))
         values = self.values
-        out = np.empty((self.n_draws, len(X), values.shape[1]))
+        out = np.empty((self.n_kept, len(X), values.shape[1]))
         for w, ids, offsets in zip(out, self.ids.tolist(), self.offsets.tolist()):
             values[offsets[0] :].take(slots[ids[0]], axis=0, out=w)
             for sid, off in zip(ids[1:], offsets[1:]):
                 w += values[off:].take(slots[sid], axis=0)
         return out
-
-
-@dataclass
-class PosteriorDraws:
-    """Kept MCMC output: sigma2 and the m trees of each kept draw.
-
-    The trees are held in a :class:`DrawTable`, which copies the leaf
-    vectors when a draw is kept, so the chain's later moves leave it alone.
-    """
-
-    grid: np.ndarray
-    grid_means: np.ndarray
-    sigma2_trace: np.ndarray
-    table: DrawTable
-    n_proposals: int = 0
-    n_accepted: int = 0
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.table.n_draws != self.n_kept:
-            raise ValueError("kept draws must match the sigma2 trace")
-
-    @property
-    def n_kept(self) -> int:
-        return self.sigma2_trace.shape[0]
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.n_accepted / self.n_proposals if self.n_proposals else 0.0
-
-    @classmethod
-    def concat(cls, parts: list["PosteriorDraws"]) -> "PosteriorDraws":
-        first = parts[0]
-        return cls(
-            grid=first.grid,
-            grid_means=first.grid_means,
-            sigma2_trace=np.concatenate([p.sigma2_trace for p in parts]),
-            table=DrawTable.concat([p.table for p in parts]),
-            n_proposals=sum(p.n_proposals for p in parts),
-            n_accepted=sum(p.n_accepted for p in parts),
-            meta=dict(first.meta, chains=len(parts)),
-        )
 
 
 def fit_bmm(
@@ -477,8 +458,7 @@ def fit_bmm(
     after every sweep.
     """
     chain = Chain(dataset.inputs, dataset.outputs, ps, cfg)
-    sigma2_trace = np.empty(cfg.n_keep)
-    table = DrawTable()
+    draws = PosteriorDraws()
 
     total = cfg.n_burn + cfg.n_keep * cfg.thin
     for sweep in range(total):
@@ -490,15 +470,12 @@ def fit_bmm(
         if callback is not None:
             callback(sweep, chain)
         if sweep >= cfg.n_burn and (sweep - cfg.n_burn) % cfg.thin == 0:
-            sigma2_trace[table.n_draws] = chain.sigma2
-            table.append(chain.trees)
+            draws.append(chain.sigma2, chain.trees)
 
-    meta = {key: getattr(cfg, key) for key in META_KEYS}
-    meta.update(lam=chain.noise.scale, n_train=chain.n, n_models=chain.n_models)
-    return PosteriorDraws(
-        ps.grid, ps.grid_means, sigma2_trace, table,
-        chain.n_proposals, chain.n_accepted, meta,
-    )
+    draws.n_proposals, draws.n_accepted = chain.n_proposals, chain.n_accepted
+    draws.meta = {key: getattr(cfg, key) for key in META_KEYS}
+    draws.meta.update(lam=chain.noise.scale, n_train=chain.n, n_models=chain.n_models)
+    return draws
 
 
 def fit_chains(
@@ -564,26 +541,31 @@ class MixedSummary:
     wsum_hi: np.ndarray
 
 
-def predict_mixed(draws: PosteriorDraws) -> MixedSummary:
+def predict_mixed(draws: PosteriorDraws, grid, grid_means) -> MixedSummary:
     """Posterior mean and central 95% band of the mixed prediction, each
-    weight function, and the sum of weights, over the draws' grid."""
+    weight function, and the sum of weights, at the rows of ``grid``, where
+    the models predict ``grid_means`` ((len(grid), K))."""
     if draws.n_kept < 1:
         raise ValueError("no kept draws")
-    weights = draws.table.weights(draws.grid)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.ndim == 1:
+        grid = grid[:, None]
+    grid_means = np.atleast_2d(np.asarray(grid_means, dtype=float))
+    weights = draws.weights(grid)
     # Each trace is freed once summarised, and the band of one weight
     # column at a time sorts a copy of that column only.
     q = [0.025, 0.975]
     weight_band = np.empty((len(q),) + weights.shape[1:])
     for k in range(weights.shape[2]):
         weight_band[:, :, k] = np.quantile(weights[:, :, k], q, axis=0)
-    mixed = np.einsum("gk,sgk->sg", draws.grid_means, weights)
+    mixed = np.einsum("gk,sgk->sg", grid_means, weights)
     mixed_stats = mixed.mean(axis=0), *np.quantile(mixed, q, axis=0)
     del mixed
     weight_mean = weights.mean(axis=0)
     wsum = weights.sum(axis=2)
     del weights
     return MixedSummary(
-        draws.grid,
+        grid,
         *mixed_stats,
         weight_mean, *weight_band,
         wsum.mean(axis=0), *np.quantile(wsum, q, axis=0),
@@ -597,7 +579,7 @@ def save_draws(draws: PosteriorDraws, path) -> None:
             fh.write(f"# {key} = {val}\n")
         for i in range(draws.n_kept):
             fh.write(f"draw {i} sigma2 {draws.sigma2_trace[i]:.17g}\n")
-            for text in draws.table.encoded(i):
+            for text in draws.encoded(i):
                 fh.write(f"tree {text}\n")
 
 
@@ -620,19 +602,10 @@ def load_draws(path) -> list[tuple[float, list[Tree]]]:
 
 def predict_from_archive(ensembles, grid, grid_means) -> MixedSummary:
     """Re-predict on a new grid from archived (sigma2, trees) pairs."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.ndim == 1:
-        grid = grid[:, None]
-    table = DrawTable()
-    for _, trees in ensembles:
-        table.append(trees)
-    draws = PosteriorDraws(
-        grid=grid,
-        grid_means=np.atleast_2d(np.asarray(grid_means, dtype=float)),
-        sigma2_trace=np.array([s for s, _ in ensembles]),
-        table=table,
-    )
-    return predict_mixed(draws)
+    draws = PosteriorDraws()
+    for sigma2, trees in ensembles:
+        draws.append(sigma2, trees)
+    return predict_mixed(draws, grid, grid_means)
 
 
 def rmse(a, b) -> float:

@@ -60,7 +60,7 @@ def run_example(path: Path):
     start = time.perf_counter()
     draws = fit_chains(data, ps, scfg, cfg.n_chains())
     elapsed = time.perf_counter() - start
-    summary = predict_mixed(draws)
+    summary = predict_mixed(draws, ps.grid, ps.grid_means)
     return {
         "cfg": cfg,
         "data": data,

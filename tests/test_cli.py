@@ -107,17 +107,17 @@ mesh_per_dim = 5
 """
 
 
-def with_sampler_setting(key, value):
-    """MINI_CONFIG with ``key = value`` in [sampler], replacing any old value.
+def with_setting(key, value, section="sampler"):
+    """MINI_CONFIG with ``key = value`` in [section], replacing any old value.
 
     ``value`` may go on with more ``key = value`` lines, which replace too.
     """
-    head, tail = MINI_CONFIG.split("[sampler]\n")
-    body, rest = tail.split("\n\n", 1)
+    head, tail = MINI_CONFIG.split(f"[{section}]\n")
+    body, _, rest = tail.partition("\n\n")
     new = f"{key} = {value}".splitlines()
     keys = {line.split(" = ")[0] for line in new}
     lines = [line for line in body.splitlines() if line.split(" = ")[0] not in keys]
-    return head + "[sampler]\n" + "\n".join(lines + new) + "\n\n" + rest
+    return head + f"[{section}]\n" + "\n".join(lines + new) + "\n\n" + rest
 
 
 def src_env():
@@ -408,7 +408,7 @@ yref_map = one""",
         evidence = {}
         for match in ("mode", "mean"):
             cfg = tmp_path / f"{match}.cfg"
-            cfg.write_text(with_sampler_setting("lambda_match", match))
+            cfg.write_text(with_setting("lambda_match", match))
             out = tmp_path / match
             assert main(["bma", "--config", str(cfg), "--out", str(out)]) == 0
             _, _, wcols = read_csv(out / "mini" / "bma_weights.csv")
@@ -470,15 +470,57 @@ class TestConfigErrors:
             ("chains", "1", ["--chains", "-1"]),
             pytest.param("lambda_match", "mean\nnu = 2", [], id="lambda_match-mean-nu-2"),
             ("n_kep", "10", []),
+            ("k", "inf", []),
+            ("nu", "inf", []),
+            ("lambda", "inf", []),
         ],
     )
     def test_bad_sampler_value(self, tmp_path, capsys, key, value, args):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(with_sampler_setting(key, value))
+        cfg.write_text(with_setting(key, value))
         out = tmp_path / "runs"
         assert main(["mix", "--config", str(cfg), "--out", str(out)] + args) == 2
         assert "error" in capsys.readouterr().err
         assert not (out / "mini" / "mix_grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("dataset", "noise_sd", "-1"),
+            ("dataset", "noise_sd", "nan"),
+            ("dataset", "grid_n", "1"),
+            ("dataset", "grid_lo", "nan"),
+            ("dataset", "grid_hi", "inf"),
+            ("evaluation", "grid_n", "1"),
+            ("model.weak2", "order", "-1"),
+            ("model.weak2", "n_design", "1"),
+            ("model.weak2", "design_lo", "0.5"),
+        ],
+    )
+    def test_bad_value_for_library(self, tmp_path, capsys, section, key, value):
+        # A value the library rejects while the run is set up is a config
+        # error, as a bad [sampler] value is.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_setting(key, value, section))
+        out = tmp_path / "runs"
+        assert main(["mix", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (out / "mini" / "mix_grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            pytest.param("x1_lo = -3.141592653589793", "x1_lo = -inf", id="x1_lo-inf"),
+            pytest.param("mesh_per_dim = 5", "mesh_per_dim = 0", id="mesh_per_dim-0"),
+        ],
+    )
+    def test_bad_2d_value_for_library(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MINI_2D.replace(old, new))
+        out = tmp_path / "runs"
+        assert main(["mix", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (out / "mini2d" / "mix_grid.csv").exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -486,7 +528,7 @@ class TestConfigErrors:
     )
     def test_bad_sampler_value_for_bma(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(with_sampler_setting(key, value))
+        cfg.write_text(with_setting(key, value))
         out = tmp_path / "runs"
         assert main(["bma", "--config", str(cfg), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err

@@ -201,8 +201,13 @@ class TestDatasetInvariants:
             Dataset(inputs=[1.0, 2.0], outputs=[1.0])
 
     def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(inputs=[1.0], outputs=[1.0], noise_sd=-0.1)
+        # NaN passes a `noise_sd < 0` test and then fails `noise_sd > 0`,
+        # which would give noiseless data recorded with noise level nan.
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise_sd"):
+                Dataset(inputs=[1.0], outputs=[1.0], noise_sd=bad)
+            with pytest.raises(ValueError, match="noise_sd"):
+                generate_observations(true_system_phi4, [0.1], bad, seed=0)
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError):

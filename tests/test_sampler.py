@@ -15,7 +15,6 @@ from mixtrees.dataset import Dataset
 from mixtrees.node_model import NodeData, leaf_posterior, log_marginal_likelihood
 from mixtrees.sampler import (
     Chain,
-    DrawTable,
     MixedSummary,
     PosteriorDraws,
     PredictionSet,
@@ -58,15 +57,16 @@ def make_problem(n=12, k=2, seed=0, n_grid=15):
 
 
 def encoded(draws):
-    return [draws.table.encoded(s) for s in range(draws.n_kept)]
+    return [draws.encoded(s) for s in range(draws.n_kept)]
 
 
-def table_of(ensembles):
-    """A DrawTable holding each list of trees as one draw."""
-    table = DrawTable()
-    for trees in ensembles:
-        table.append(trees)
-    return table
+def draws_of(ensembles):
+    """PosteriorDraws holding each list of trees as one draw; draw s has
+    sigma2 = s + 1."""
+    draws = PosteriorDraws()
+    for s, trees in enumerate(ensembles):
+        draws.append(s + 1.0, trees)
+    return draws
 
 
 def oracle_weights(trees, X):
@@ -499,7 +499,7 @@ class TestInformativePrior:
         right = chain.leaf_prior_for(np.arange(12, 16))
         assert left.mean[0] > right.mean[0]
         draws = fit_bmm(data, ps, cfg)
-        assert np.all(np.isfinite(predict_mixed(draws).mean))
+        assert np.all(np.isfinite(predict_mixed(draws, ps.grid, ps.grid_means).mean))
 
     def test_informative_requires_variances(self):
         data, ps = make_problem()
@@ -512,7 +512,7 @@ class TestEvaluateWeights:
     def test_root_trees_sum_to_m_beta(self):
         grid = CutpointGrid([np.linspace(0.1, 0.9, 9)])
         trees = [root_tree(grid, [0.05, 0.02]) for _ in range(10)]
-        w = table_of([trees]).weights([[0.4]])[0, 0]
+        w = draws_of([trees]).weights([[0.4]])[0, 0]
         np.testing.assert_allclose(w, [0.5, 0.2])
 
     def test_single_tree_leaf_lookup(self):
@@ -540,7 +540,7 @@ class TestEvaluateWeights:
                 t.values[leaf] = rng.normal(size=2)
             trees.append(t)
         X = rng.uniform(0, 1, size=(50, 1))
-        batch = table_of([trees]).weights(X)[0]
+        batch = draws_of([trees]).weights(X)[0]
         for i, x in enumerate(X):
             brute = np.zeros(2)
             for t in trees:
@@ -558,24 +558,21 @@ def step_tree(weights, grid):
 
 
 class TestPredictMixed:
-    def make_draws(self, weight_trace, grid_means):
-        n_kept, n_grid, k = weight_trace.shape
-        grid = np.linspace(0, 1, n_grid)
-        draws = PosteriorDraws(
-            grid=grid[:, None],
-            grid_means=grid_means,
-            sigma2_trace=np.ones(n_kept),
-            table=table_of([[step_tree(w, grid)] for w in weight_trace]),
-        )
+    @staticmethod
+    def summary(weight_trace, grid_means):
+        """predict_mixed over draws whose weights on an even grid are
+        ``weight_trace``."""
+        grid = np.linspace(0, 1, weight_trace.shape[1])
+        draws = draws_of([[step_tree(w, grid)] for w in weight_trace])
         # The step trees hand back the weights bit for bit.
-        np.testing.assert_array_equal(draws.table.weights(draws.grid), weight_trace)
-        return draws
+        np.testing.assert_array_equal(draws.weights(grid[:, None]), weight_trace)
+        return predict_mixed(draws, grid, grid_means)
 
     def test_unit_weights_reproduce_model_mean(self):
         n_kept, n_grid = 50, 7
         wt = np.ones((n_kept, n_grid, 1))
         gm = np.linspace(1, 2, n_grid)[:, None]
-        summary = predict_mixed(self.make_draws(wt, gm))
+        summary = self.summary(wt, gm)
         np.testing.assert_allclose(summary.mean, gm[:, 0], rtol=1e-12)
 
     def test_identical_models_convexity_degeneracy(self):
@@ -585,7 +582,7 @@ class TestPredictMixed:
         wt = np.stack([a, 1.0 - a], axis=2)
         common = np.linspace(0.5, 1.5, n_grid)
         gm = np.column_stack([common, common])
-        summary = predict_mixed(self.make_draws(wt, gm))
+        summary = self.summary(wt, gm)
         np.testing.assert_allclose(summary.mean, common, rtol=1e-12)
         np.testing.assert_allclose(summary.lo, common, rtol=1e-9)
 
@@ -593,7 +590,7 @@ class TestPredictMixed:
         rng = np.random.default_rng(10)
         wt = rng.normal(size=(400, 3, 2))
         gm = rng.normal(size=(3, 2))
-        summary = predict_mixed(self.make_draws(wt, gm))
+        summary = self.summary(wt, gm)
         mixed = np.einsum("gk,sgk->sg", gm, wt)
         for g in range(3):
             col = np.sort(mixed[:, g])
@@ -607,14 +604,7 @@ class TestPredictMixed:
 
     def test_empty_draws_rejected(self):
         with pytest.raises(ValueError):
-            predict_mixed(
-                PosteriorDraws(
-                    grid=np.zeros((1, 1)),
-                    grid_means=np.ones((1, 1)),
-                    sigma2_trace=np.empty(0),
-                    table=DrawTable(),
-                )
-            )
+            predict_mixed(PosteriorDraws(), np.zeros((1, 1)), np.ones((1, 1)))
 
 
 def structure(tree):
@@ -663,13 +653,8 @@ class TestDrawTable:
         # bits of evaluating every tree and summing in tree order.
         ensembles, X = random_ensembles(seed, dim, k, n_structures, m, n_draws)
         grid_means = np.random.default_rng(seed + 1).normal(size=(len(X), k))
-        draws = PosteriorDraws(
-            grid=X,
-            grid_means=grid_means,
-            sigma2_trace=np.ones(n_draws),
-            table=table_of(ensembles),
-        )
-        got = predict_mixed(draws)
+        draws = draws_of(ensembles)
+        got = predict_mixed(draws, X, grid_means)
         expected = oracle_summary(ensembles, X, grid_means)
         for f in dataclasses.fields(expected):
             np.testing.assert_array_equal(
@@ -686,15 +671,22 @@ class TestDrawTable:
         if shared:
             rng = np.random.default_rng(9)
             b = [[with_values(t, rng) for t in trees] for trees in b]
-        parts = [table_of(a), table_of(b)]
-        pooled = DrawTable.concat(parts)
+        parts = [draws_of(a), draws_of(b)]
+        for p, (proposals, accepted) in zip(parts, [(7, 2), (5, 1)]):
+            p.n_proposals, p.n_accepted, p.meta = proposals, accepted, {"seed": 3}
+        pooled = PosteriorDraws.concat(parts)
         both = a + b
-        assert pooled.n_draws == len(both)
+        assert pooled.n_kept == len(both)
         assert pooled.n_leaves == sum(p.n_leaves for p in parts)
+        np.testing.assert_array_equal(
+            pooled.sigma2_trace, np.concatenate([p.sigma2_trace for p in parts])
+        )
+        assert (pooled.n_proposals, pooled.n_accepted) == (12, 3)
+        assert pooled.meta == {"seed": 3, "chains": 2}
         np.testing.assert_array_equal(
             pooled.weights(X), np.stack([oracle_weights(trees, X) for trees in both])
         )
-        assert [pooled.encoded(s) for s in range(pooled.n_draws)] == [
+        assert encoded(pooled) == [
             [t.encode() for t in trees] for trees in both
         ]
         structures = {structure(t) for trees in both for t in trees}
@@ -722,7 +714,7 @@ class TestDrawTable:
 
         before = trees_alive()
         draws = fit_bmm(data, ps, cfg, callback=record)
-        assert len(draws.table.skeletons) == len(structures) < cfg.n_keep * cfg.m
+        assert len(draws.skeletons) == len(structures) < cfg.n_keep * cfg.m
         assert trees_alive() - before == len(structures)
 
 
@@ -737,11 +729,33 @@ class TestDrawArchive:
         assert len(ensembles) == draws.n_kept
         np.testing.assert_array_equal([s for s, _ in ensembles], draws.sigma2_trace)
         again = predict_from_archive(ensembles, ps.grid, ps.grid_means)
-        original = predict_mixed(draws)
+        original = predict_mixed(draws, ps.grid, ps.grid_means)
         for f in dataclasses.fields(original):
             np.testing.assert_array_equal(
                 getattr(again, f.name), getattr(original, f.name), err_msg=f.name
             )
+
+    def test_loaded_archive_mirrors_file(self, tmp_path):
+        # The pairs load_draws reads, appended into PosteriorDraws, give back
+        # each draw's tree lines and sigma2, and the fit's structures.
+        data, ps = make_problem_2d()
+        cfg = SamplerConfig(m=5, n_burn=25, n_keep=25, seed=21, min_leaf_n=3)
+        draws = fit_bmm(data, ps, cfg)
+        path = tmp_path / "draws.txt"
+        save_draws(draws, path)
+        written = []
+        for line in path.read_text().splitlines():
+            if line.startswith("draw "):
+                written.append((float(line.split()[3]), []))
+            elif line.startswith("tree "):
+                written[-1][1].append(line[len("tree "):])
+        loaded = PosteriorDraws()
+        for sigma2, trees in load_draws(path):
+            loaded.append(sigma2, trees)
+        assert encoded(loaded) == [trees for _, trees in written]
+        np.testing.assert_array_equal(loaded.sigma2_trace, [s for s, _ in written])
+        assert len(loaded.skeletons) == len(draws.skeletons) > 1
+        np.testing.assert_array_equal(loaded.ids, draws.ids)
 
     def test_archive_supports_new_grid(self, tmp_path):
         data, ps = make_problem()
@@ -930,7 +944,7 @@ class TestGoldenBytes:
         draws = fit_bmm(data, ps, cfg)
         path = tmp_path / "draws.txt"
         save_draws(draws, path)
-        weights = draws.table.weights(ps.grid)
+        weights = draws.weights(ps.grid)
         mixed = np.einsum("gk,sgk->sg", ps.grid_means, weights)
         return tuple(
             hashlib.sha256(b).hexdigest()
