@@ -4,9 +4,12 @@ Within a node the residuals are Gaussian around ``design @ mu`` with a
 N(beta, tau^2 I) prior on the K-vector ``mu``, so the marginal likelihood,
 the full conditional of ``mu``, and the full conditional of the error
 variance all have closed forms.  Everything derives from one Cholesky
-factorization of the K x K posterior precision (``_factor``); the ``_raw``
-variants skip argument validation, can take that factor precomputed, and
-are what the sampler's inner loop calls.
+factorization of the K x K posterior precision (``_factor``).  The
+``_raw`` variants are what the sampler's inner loop calls: they skip
+argument validation, take the design as a contiguous (K, n_p) array and the
+prior mean as K Python floats, and can take that factor precomputed.  The
+public functions validate their arguments and call the same ``_raw``
+variants.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LOG_2PI = float(np.log(2.0 * np.pi))
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
@@ -67,35 +70,38 @@ class NoisePrior:
 
 
 def _gram(design):
-    """The K(K+1)/2 column dots ``design[:, j] @ design[:, i]``, j <= i, row
-    by row: the data part of the posterior precision."""
-    cols = [design[:, i] for i in range(design.shape[1])]
-    return [float(cols[j] @ cols[i]) for i in range(len(cols)) for j in range(i + 1)]
+    """The K x K Gram matrix ``design @ design.T`` of a (K, n_p) design, as
+    rows of Python floats: the data part of the posterior precision."""
+    return (design @ design.T).tolist()
 
 
 def _factor(resid, design, gram, mean, sd, sigma2):
     """Cholesky rows L of the posterior precision A^-1, and u = L^-1 b.
 
-    K is the number of models being mixed, so the K x K algebra runs in
-    Python floats, off the LAPACK dispatch path.  Only the length-n dots
-    (``gram`` and ``design[:, i] @ resid``) are numpy reductions.
+    ``design`` is (K, n_p) and ``mean`` a sequence of K floats.  K is the
+    number of models being mixed, so the K x K algebra runs in Python
+    floats, off the LAPACK dispatch path; the K linear terms of b are one
+    matvec.  The forward solve for u runs row by row with the factor.
     """
     tau_prec = 1.0 / sd ** 2
-    dots = iter(gram)
-    chol, b = [], []
-    for i in range(design.shape[1]):
+    lin = (design @ resid).tolist()
+    chol, u = [], []
+    for i, gram_row in enumerate(gram):
         row = []
         for j in range(i + 1):
             lj = row if j == i else chol[j]
-            s = next(dots) / sigma2
+            s = gram_row[j] / sigma2
             if j == i:
                 s += tau_prec
             for p in range(j):
                 s -= row[p] * lj[p]
             row.append(math.sqrt(s) if j == i else s / lj[j])
         chol.append(row)
-        b.append(mean[i] * tau_prec + float(design[:, i] @ resid) / sigma2)
-    return chol, _solve_lower(chol, b)
+        s = mean[i] * tau_prec + lin[i] / sigma2
+        for p in range(i):
+            s -= row[p] * u[p]
+        u.append(s / row[i])
+    return chol, u
 
 
 def _solve_lower(chol, v):
@@ -125,40 +131,47 @@ def _log_ml_raw(resid, design, mean, sd, sigma2, factor=None) -> float:
     """``factor``, when given, is ``_factor`` of these same arguments."""
     chol, u = factor or _factor(resid, design, _gram(design), mean, sd, sigma2)
     # |A| = 1 / |A^-1|; chol factors A^-1.
-    log_det_a = -2.0 * sum([np.log(row[i]) for i, row in enumerate(chol)])
-    u = np.array(u)  # a BLAS dot fuses multiply-adds; Python floats would not
-    bab = float(u @ u)
+    log_det_a, bab, bb = 0.0, 0.0, 0.0
+    for i, row in enumerate(chol):
+        log_det_a -= 2.0 * math.log(row[i])
+        bab += u[i] * u[i]
+        bb += mean[i] * mean[i]
     rss = float(resid @ resid)
-    bb = float(mean @ mean)
+    var = sd ** 2
     return (
-        -0.5 * resid.size * (LOG_2PI + np.log(sigma2))
-        - 0.5 * mean.size * np.log(sd ** 2)
+        -0.5 * resid.size * (LOG_2PI + math.log(sigma2))
+        - 0.5 * len(u) * math.log(var)
         + 0.5 * log_det_a
-        - 0.5 * (rss / sigma2 + bb / sd ** 2 - bab)
+        - 0.5 * (rss / sigma2 + bb / var - bab)
     )
 
 
 def _sample_leaf_raw(resid, design, mean, sd, sigma2, rng, factor=None) -> np.ndarray:
     """``factor``, when given, is ``_factor`` of these same arguments."""
     chol, u = factor or _factor(resid, design, _gram(design), mean, sd, sigma2)
-    # x ~ N(0, A): x = L^-T z with L L^T = A^-1.
+    # The mean L^-T u plus x ~ N(0, A), x = L^-T z with L L^T = A^-1: one
+    # solve of L^T against u + z.
     z = rng.standard_normal(len(u)).tolist()
-    post_mean, noise = _solve_upper_t(chol, u), _solve_upper_t(chol, z)
-    return np.array([m + e for m, e in zip(post_mean, noise)])
+    return np.array(_solve_upper_t(chol, [a + b for a, b in zip(u, z)]))
+
+
+def _args(nd: NodeData, lp: LeafPrior, sigma2: float):
+    """The kernel's (resid, design, mean, sd, sigma2) for a node and prior."""
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    design = np.ascontiguousarray(nd.design.T)
+    return nd.residuals, design, lp.mean.tolist(), lp.sd, sigma2
 
 
 def log_marginal_likelihood(nd: NodeData, lp: LeafPrior, sigma2: float) -> float:
     """Log of the node likelihood with the leaf vector integrated out."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    return _log_ml_raw(nd.residuals, nd.design, lp.mean, lp.sd, sigma2)
+    return _log_ml_raw(*_args(nd, lp, sigma2))
 
 
 def leaf_posterior(nd: NodeData, lp: LeafPrior, sigma2: float):
     """Full-conditional mean and covariance of the leaf vector."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    chol, u = _factor(nd.residuals, nd.design, _gram(nd.design), lp.mean, lp.sd, sigma2)
+    resid, design, mean, sd, sigma2 = _args(nd, lp, sigma2)
+    chol, u = _factor(resid, design, _gram(design), mean, sd, sigma2)
     eye = np.eye(lp.mean.size).tolist()
     cov = np.array([_solve_upper_t(chol, _solve_lower(chol, e)) for e in eye])
     cov = 0.5 * (cov + cov.T)
@@ -169,9 +182,7 @@ def sample_leaf(
     nd: NodeData, lp: LeafPrior, sigma2: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw the leaf vector from its full conditional."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    return _sample_leaf_raw(nd.residuals, nd.design, lp.mean, lp.sd, sigma2, rng)
+    return _sample_leaf_raw(*_args(nd, lp, sigma2), rng)
 
 
 def sample_sigma2(

@@ -10,6 +10,7 @@ finally draws sigma2 from its scaled inverse-chi-squared conditional.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -42,6 +43,9 @@ from .trees import (
 )
 
 BIRTH_PROB = 0.5  # chance that a structure move proposes a birth, not a death
+# log P(reverse kind) - log P(kind), for a birth and for a death
+LOG_KIND_BIRTH = float(np.log1p(-BIRTH_PROB) - np.log(BIRTH_PROB))
+LOG_KIND_DEATH = float(np.log(BIRTH_PROB) - np.log1p(-BIRTH_PROB))
 META_KEYS = ("m", "k", "informative", "nu", "n_burn", "n_keep", "thin", "seed")
 
 
@@ -127,8 +131,14 @@ class SamplerConfig:
 class Chain:
     """One MCMC chain; use :func:`fit_bmm` unless driving sweeps by hand.
 
-    ``_live[j]`` maps each leaf of tree j (its row bytes) to ``(F[rows], Gram
-    dots, prior)``; ``_factors`` adds the posterior factor, for one update.
+    ``_live[j]`` maps each leaf of tree j (its row bytes) to its stats: the
+    contiguous (K, n_p) design ``F[rows].T``, its Gram rows, and its prior
+    mean (K Python floats) and sd.  ``_factors`` maps each row set that the
+    current tree update scored or redrew to its residual slice, stats and
+    posterior factor.  It belongs to one residual vector, ``_resid``: tree
+    j's residuals and sigma2 stay fixed while tree j is updated, and
+    :meth:`tree_residuals` returns a new vector for each update, so a new
+    vector drops the factors of the last.
     """
 
     def __init__(self, X, y, ps: PredictionSet, cfg: SamplerConfig, rng=None):
@@ -141,6 +151,7 @@ class Chain:
         self.cfg = cfg
         self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.F = ps.means
+        self.FT = np.ascontiguousarray(self.F.T)
         self.n, self.n_models = self.F.shape
 
         self.grid = CutpointGrid.from_data(
@@ -172,7 +183,7 @@ class Chain:
         )
         self.total_fit = self.fits.sum(axis=0)
         self._live = [{} for _ in self.trees]
-        self._factors = {}
+        self._resid, self._factors = None, {}
         self.n_proposals = 0
         self.n_accepted = 0
 
@@ -191,48 +202,50 @@ class Chain:
         return self.y - (self.total_fit - self.fits[j])
 
     def _leaf(self, j, idx, resid):
-        """Key, residual slice, stats and factor of tree j's leaf with rows idx."""
-        key, r = idx.tobytes(), resid[idx]
-        if key not in self._factors:
+        """Key of tree j's leaf with rows idx, and its residual slice, stats
+        and factor."""
+        if resid is not self._resid:
+            self._resid, self._factors = resid, {}
+        key = idx.tobytes()
+        cached = self._factors.get(key)
+        if cached is None:
             stats = self._live[j].get(key)
             if stats is None:
-                design = self.F[idx]
-                stats = design, _gram(design), self.leaf_prior_for(idx)
-            design, gram, lp = stats
-            factor = _factor(r, design, gram, lp.mean, lp.sd, self.sigma2)
-            self._factors[key] = stats, factor
-        return (key, r) + self._factors[key]
+                design = self.FT.take(idx, axis=1)
+                lp = self.leaf_prior_for(idx)
+                stats = design, _gram(design), lp.mean.tolist(), lp.sd
+            r = resid[idx]
+            cached = self._factors[key] = r, stats, _factor(r, *stats, self.sigma2)
+        return key, cached
 
     def _leaf_sets_log_ml(self, j, sets, resid) -> float:
         total = 0.0
         for idx in sets:
-            _, r, (design, _, lp), factor = self._leaf(j, idx, resid)
-            total += _log_ml_raw(r, design, lp.mean, lp.sd, self.sigma2, factor)
+            _, (r, (design, _, mean, sd), factor) = self._leaf(j, idx, resid)
+            total += _log_ml_raw(r, design, mean, sd, self.sigma2, factor)
         return total
 
-    def mh_tree_update(self, j: int, structure: bool = True) -> bool:
+    def mh_tree_update(self, j: int, resid, structure: bool = True) -> bool:
         """Propose birth or death on tree j and accept via the integrated
-        likelihood; then redraw all its leaves.  Returns the accept flag."""
-        resid = self.tree_residuals(j)
-        self._factors = {}  # residuals and sigma2 now stay fixed until the redraw
+        likelihood of its residuals ``resid`` (:meth:`tree_residuals`); then
+        redraw all its leaves.  Returns the accept flag."""
         accepted = False
         if structure:
             self.n_proposals += 1
             tree, rng = self.trees[j], self.rng
             if rng.random() < BIRTH_PROB:
                 prop = propose_birth(tree, self.X, self.cfg.min_leaf_n, rng)
-                log_kind = np.log1p(-BIRTH_PROB) - np.log(BIRTH_PROB)
+                log_kind = LOG_KIND_BIRTH
             else:
                 prop = propose_death(tree, self.X, rng)
-                log_kind = np.log(BIRTH_PROB) - np.log1p(-BIRTH_PROB)
+                log_kind = LOG_KIND_DEATH
             accepted = self._try_accept(j, prop, resid, log_kind)
         self._redraw_leaves(j, resid)
         return accepted
 
-    def mh_rule_change(self, j: int) -> bool:
-        """Relocate one rule of tree j (warmup move); leaves are redrawn."""
-        resid = self.tree_residuals(j)
-        self._factors = {}
+    def mh_rule_change(self, j: int, resid) -> bool:
+        """Relocate one rule of tree j (warmup move) against its residuals
+        ``resid``; leaves are redrawn.  Returns the accept flag."""
         self.n_proposals += 1
         prop = propose_rule_change(self.trees[j], self.X, self.cfg.min_leaf_n, self.rng)
         accepted = self._try_accept(j, prop, resid, 0.0)
@@ -250,7 +263,8 @@ class Chain:
             + prop.log_reverse
             - prop.log_forward
         )
-        if np.log(self.rng.random()) < log_ratio:
+        u = self.rng.random()
+        if (math.log(u) if u > 0.0 else -math.inf) < log_ratio:
             self.trees[j] = prop.tree
             self.n_accepted += 1
             return True
@@ -262,12 +276,12 @@ class Chain:
         live = {}
         for leaf in tree.leaf_nodes():
             idx = rows[leaf]
-            key, r, stats, factor = self._leaf(j, idx, resid)
+            key, (r, stats, factor) = self._leaf(j, idx, resid)
             live[key] = stats
-            design, _, lp = stats
-            value = _sample_leaf_raw(r, design, lp.mean, lp.sd, self.sigma2, self.rng, factor)
+            design, _, mean, sd = stats
+            value = _sample_leaf_raw(r, design, mean, sd, self.sigma2, self.rng, factor)
             tree.values[leaf] = value  # a new vector: split children share one
-            fit_j[idx] = design @ value
+            fit_j[idx] = value @ design
         self._live[j] = live  # only the surviving leaves: changed rows drop out
         self.total_fit = self.fits.sum(axis=0)
 
@@ -297,9 +311,12 @@ class Chain:
         on the chain.
         """
         for j in range(self.cfg.m):
-            self.mh_tree_update(j, structure=structure)
+            # The other trees and sigma2 stay fixed through both moves on
+            # tree j, so they share its residuals and so its factor cache.
+            resid = self.tree_residuals(j)
+            self.mh_tree_update(j, resid, structure=structure)
             if warmup and structure:
-                self.mh_rule_change(j)
+                self.mh_rule_change(j, resid)
         if not hold_sigma2:
             self.sigma2 = sample_sigma2(self.total_sse, self.n, self.noise, self.rng)
 
@@ -562,7 +579,11 @@ def predict_mixed(draws: PosteriorDraws, grid, grid_means) -> MixedSummary:
     mixed_stats = mixed.mean(axis=0), *np.quantile(mixed, q, axis=0)
     del mixed
     weight_mean = weights.mean(axis=0)
-    wsum = weights.sum(axis=2)
+    # Column by column, in place: for K < 8 the bits of weights.sum(axis=2),
+    # whose reduction over the short, strided last axis is the slower.
+    wsum = weights[:, :, 0].copy()
+    for k in range(1, weights.shape[2]):
+        wsum += weights[:, :, k]
     del weights
     return MixedSummary(
         grid,
@@ -584,7 +605,11 @@ def save_draws(draws: PosteriorDraws, path) -> None:
 
 
 def load_draws(path) -> list[tuple[float, list[Tree]]]:
-    """Read a draw archive back as (sigma2, trees) pairs for re-prediction."""
+    """Read a draw archive back as (sigma2, trees) pairs for re-prediction.
+
+    A line that is not a comment, a ``draw i sigma2 s`` line with a finite,
+    positive s, or a ``tree`` line after a draw line raises ValueError.
+    """
     out = []
     with open(path) as fh:
         for line in fh:
@@ -592,12 +617,24 @@ def load_draws(path) -> list[tuple[float, list[Tree]]]:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("draw "):
-                out.append((float(line.split()[3]), []))
-            elif line.startswith("tree "):
+                out.append((_archive_sigma2(line), []))
+            elif line.startswith("tree ") and out:
                 out[-1][1].append(Tree.decode(line[5:]))
             else:
                 raise ValueError(f"bad archive line: {line!r}")
     return out
+
+
+def _archive_sigma2(line: str) -> float:
+    """The sigma2 of a ``draw i sigma2 s`` archive line."""
+    fields = line.split()
+    try:
+        sigma2 = float(fields[3])
+    except (IndexError, ValueError):
+        sigma2 = math.nan
+    if len(fields) != 4 or fields[2] != "sigma2" or not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"bad archive line: {line!r}")
+    return sigma2
 
 
 def predict_from_archive(ensembles, grid, grid_means) -> MixedSummary:

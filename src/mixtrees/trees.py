@@ -460,9 +460,13 @@ def propose_rule_change(
     """Redraw the rule of a uniformly chosen internal node.
 
     Used to relocate cuts during sampler warmup, where birth/death pairs
-    cannot cross the valley of removing a load-bearing split.  The proposal
-    is invalid when a leaf would get fewer than ``min_leaf_n`` rows or a
-    rule in the subtree would no longer cut inside its node's interval.
+    cannot cross the valley of removing a load-bearing split.  The move
+    keeps the tree's shape and re-routes only the rows below the moved
+    node, so every other leaf keeps its rows and its log marginal
+    likelihood cancels from the ratio: ``old_leaf_sets`` and
+    ``new_leaf_sets`` hold the subtree's leaves only.  The proposal is
+    invalid when a leaf would get fewer than ``min_leaf_n`` rows or a rule
+    in the subtree would no longer cut inside its node's interval.
     The prior ratio sums the rule terms of every internal node of the
     subtree, the moved node's own ``-log n_cuts`` included, while
     ``log_forward`` and ``log_reverse`` are both 0.  The move draws the new
@@ -479,12 +483,13 @@ def propose_rule_change(
     var, cut, _ = _draw_rule(tree, node, tree.usable_vars(node), rng)
 
     rows = tree.node_rows(X)
-    old_sets = [rows[i] for i in tree.leaf_nodes()]
     new = tree.copy()
     new.var[node], new.cut[node] = var, cut
     end = new._subtree_end(node)
     inside = new._refresh(node, end)
-    new_sets = [new._rows[i] for i in new.leaf_nodes()]
+    leaves = [i for i in range(node, end) if new.var[i] < 0]
+    old_sets = [rows[i] for i in leaves]
+    new_sets = [new._rows[i] for i in leaves]
     if not inside or any(idx.size < min_leaf_n for idx in new_sets):
         return Proposal("change", valid=False)
     # Only the rules of the subtree change their ancestor intervals.

@@ -209,6 +209,21 @@ class TestMhBookkeeping:
         )
         assert got == pytest.approx(hand, rel=1e-10)
 
+    @pytest.mark.parametrize("log_ratio", [-1e300, -np.inf, np.nan])
+    def test_zero_uniform_is_log_minus_inf(self, log_ratio, monkeypatch):
+        # The generator's uniform can be exactly 0.0.  Its log reads as -inf,
+        # as np.log gives, so it accepts a finite ratio, however low, and
+        # rejects a ratio of -inf or NaN, without raising.
+        from mixtrees.trees import Proposal
+
+        data, ps = make_problem()
+        chain = Chain(data.inputs, data.outputs, ps, SamplerConfig(m=1, seed=3))
+        chain.rng = ScriptedRng(3, [0.0])
+        prop = Proposal("change", valid=True, tree=chain.trees[0].copy())
+        monkeypatch.setattr(chain, "_leaf_sets_log_ml", lambda j, sets, resid: 0.0)
+        accepted = chain._try_accept(0, prop, chain.tree_residuals(0), log_ratio)
+        assert accepted == np.isfinite(log_ratio)
+
     def test_min_leaf_violations_auto_reject(self):
         data, ps = make_problem(n=4)
         cfg = SamplerConfig(
@@ -216,7 +231,7 @@ class TestMhBookkeeping:
         )
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         # 4 points can never split into two sides of >= 3.
-        accepted = [chain.mh_tree_update(0) for _ in range(100)]
+        accepted = [chain.mh_tree_update(0, chain.tree_residuals(0)) for _ in range(100)]
         assert not any(accepted)
         assert chain.trees[0].n_leaves() == 1
 
@@ -241,8 +256,8 @@ class ScriptedRng:
 
 
 def fresh_gram(design):
-    cols = [design[:, i] for i in range(design.shape[1])]
-    return [float(cols[j] @ cols[i]) for i in range(len(cols)) for j in range(i + 1)]
+    """The Gram rows of a (K, n_p) design."""
+    return (design @ design.T).tolist()
 
 
 class TestLeafCaches:
@@ -272,38 +287,42 @@ class TestLeafCaches:
     def test_live_leaf_stats_match_fresh_rows(self, kind, seed, script, moves):
         # After any mix of accepted and rejected birth, death and relocation
         # moves, tree j's cache holds exactly its leaves, each with the
-        # design, Gram dots and prior of a fresh F[rows] computation.
+        # (K, n_p) design, Gram rows and prior of a fresh F[rows] computation.
         data, ps = self.problem(kind)
         cfg = SamplerConfig(m=3, seed=seed, informative=kind == "1d-informative")
         chain = Chain(data.inputs, data.outputs, ps, cfg, rng=ScriptedRng(seed, script))
         chain.gibbs_sweep(structure=False)
         for j, relocate in moves:
+            resid = chain.tree_residuals(j)
             if relocate:
-                chain.mh_rule_change(j)
+                chain.mh_rule_change(j, resid)
             else:
-                chain.mh_tree_update(j)
+                chain.mh_tree_update(j, resid)
             for t, tree in enumerate(chain.trees):
                 rows = tree.node_rows(chain.X)
                 leaf_rows = [rows[i] for i in tree.leaf_nodes()]
                 assert set(chain._live[t]) == {idx.tobytes() for idx in leaf_rows}
                 for idx in leaf_rows:
-                    design, gram, prior = chain._live[t][idx.tobytes()]
-                    np.testing.assert_array_equal(design, chain.F[idx])
-                    assert gram == fresh_gram(chain.F[idx])
+                    design, gram, mean, sd = chain._live[t][idx.tobytes()]
+                    fresh = chain.F[idx].T.copy()
+                    np.testing.assert_array_equal(design, fresh)
+                    assert design.flags.c_contiguous
+                    assert gram == fresh_gram(fresh)
                     fresh_prior = chain.leaf_prior_for(idx)
-                    np.testing.assert_array_equal(prior.mean, fresh_prior.mean)
+                    assert mean == fresh_prior.mean.tolist()
+                    assert sd == fresh_prior.sd
 
     @pytest.mark.parametrize("move", ["birth", "death", "change"])
     def test_rejected_update_factors_each_row_set_once(self, move, monkeypatch):
         # The residuals and sigma2 are fixed for the whole update, so the
         # redraw after a rejected proposal reuses the factors of the scored
-        # old leaves, and a leaf a relocation leaves alone is scored once.
+        # old leaves; a relocation scores only the leaves below its node.
         data, ps = make_problem_2d()
         rng = ScriptedRng(5, [1e-300])
         cfg = SamplerConfig(m=2, seed=5)
         chain = Chain(data.inputs, data.outputs, ps, cfg, rng=rng)
         for _ in range(6):  # accepted births grow tree 0
-            chain.mh_tree_update(0)
+            chain.mh_tree_update(0, chain.tree_residuals(0))
         assert chain.trees[0].n_leaves() >= 3
 
         props, factored = [], []
@@ -324,12 +343,13 @@ class TestLeafCaches:
         for _ in range(50):
             props.clear()
             factored.clear()
+            resid = chain.tree_residuals(0)
             if move == "change":
                 rng.script = itertools.cycle([np.inf])
-                assert not chain.mh_rule_change(0)
+                assert not chain.mh_rule_change(0, resid)
             else:
                 rng.script = iter([0.25 if move == "birth" else 0.75, np.inf])
-                assert not chain.mh_tree_update(0)
+                assert not chain.mh_tree_update(0, resid)
             if props[-1].valid:
                 break
         else:
@@ -342,6 +362,62 @@ class TestLeafCaches:
             + prop.new_leaf_sets
             + [rows[i] for i in tree.leaf_nodes()]
         }
+        assert len(factored) == len(set(factored)) == len(row_sets)
+
+    @pytest.mark.parametrize("kind", [0.25, 0.75])
+    @pytest.mark.parametrize("mh", [1e-300, np.inf])
+    def test_warmup_tree_update_factors_each_row_set_once(self, kind, mh, monkeypatch):
+        # A warmup sweep of one tree runs birth or death, a redraw, a
+        # relocation and a second redraw.  The other trees and sigma2 stay
+        # fixed throughout, so the four steps share one residual vector and
+        # factor each distinct row set once.
+        data, ps = make_problem_2d()
+        rng = ScriptedRng(5, [1e-300])
+        chain = Chain(data.inputs, data.outputs, ps, SamplerConfig(m=1, seed=5), rng=rng)
+        for _ in range(6):  # accepted births grow the tree
+            chain.mh_tree_update(0, chain.tree_residuals(0))
+        assert chain.trees[0].n_leaves() >= 3
+
+        props, redrawn, factored = [], [], []
+
+        def recorded(propose):
+            def wrapped(*args):
+                props.append(propose(*args))
+                return props[-1]
+            return wrapped
+
+        for name in ("propose_birth", "propose_death", "propose_rule_change"):
+            monkeypatch.setattr(
+                sampler_module, name, recorded(getattr(sampler_module, name))
+            )
+        factor, redraw = sampler_module._factor, Chain._redraw_leaves
+
+        def counted_factor(resid, *args):
+            factored.append(resid.tobytes())
+            return factor(resid, *args)
+
+        def recorded_redraw(self, j, resid):
+            rows = self.trees[j].node_rows(self.X)
+            redrawn.extend(rows[i] for i in self.trees[j].leaf_nodes())
+            return redraw(self, j, resid)
+
+        monkeypatch.setattr(sampler_module, "_factor", counted_factor)
+        monkeypatch.setattr(Chain, "_redraw_leaves", recorded_redraw)
+        for _ in range(50):
+            props.clear()
+            redrawn.clear()
+            factored.clear()
+            rng.script = iter([kind, mh, mh])
+            chain.gibbs_sweep(warmup=True, hold_sigma2=True)
+            if len(props) == 2 and all(p.valid for p in props):
+                break
+        else:
+            pytest.fail("no warmup sweep with two valid proposals")
+        row_sets = {
+            idx.tobytes()
+            for p in props
+            for idx in p.old_leaf_sets + p.new_leaf_sets
+        } | {idx.tobytes() for idx in redrawn}
         assert len(factored) == len(set(factored)) == len(row_sets)
 
 
@@ -757,6 +833,35 @@ class TestDrawArchive:
         assert len(loaded.skeletons) == len(draws.skeletons) > 1
         np.testing.assert_array_equal(loaded.ids, draws.ids)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "tree L 2 0.5 0.5",
+            "draw 1",
+            "draw 1 sigma2",
+            "draw 1 sigma2 nan",
+            "draw 1 sigma2 inf",
+            "draw 1 sigma2 0",
+            "draw 1 sigma2 -0.25",
+            "draw 1 sigma2 0.5 0.5",
+            "draw 1 sigma 0.5",
+            "draw 1 sigma2 half",
+        ],
+    )
+    def test_malformed_archive_rejected(self, tmp_path, bad):
+        # A tree line before any draw line, a draw line without one finite,
+        # positive sigma2, and an unknown line each raise ValueError naming
+        # the line, where they raised IndexError or loaded a bad sigma2.
+        good = "draw 0 sigma2 0.25\ntree L 2 0.5 0.5\n"
+        path = tmp_path / "draws.txt"
+        if bad.startswith("tree"):
+            path.write_text("# m = 1\n" + bad + "\n" + good)
+        else:
+            path.write_text(good + bad + "\ntree L 2 0.5 0.5\n")
+        with pytest.raises(ValueError, match="bad archive line") as err:
+            load_draws(path)
+        assert repr(bad) in str(err.value)
+
     def test_archive_supports_new_grid(self, tmp_path):
         data, ps = make_problem()
         cfg = SamplerConfig(m=2, n_burn=10, n_keep=15, seed=8)
@@ -959,9 +1064,9 @@ class TestGoldenBytes:
         data, ps = make_problem()
         cfg = SamplerConfig(m=4, n_burn=20, n_keep=30, seed=123)
         assert self.digests(data, ps, cfg, tmp_path) == (
-            "b0ff9213ed84c43ce3511e4dfe6ad6a76dc7bbc4fec35758c3e043292763711e",
-            "1ebf75f972d1a6a67f7f074637bbc8b060eaecb43036b29c57e9e06210323330",
-            "cb36d08180eebbabc0ca432886f137ee82ff3dbeff9cf3d3dc5df680eae79120",
+            "57d1c654f8be7162cfe57ee48c458b480222fefbe3236ab829dd5c802ef6307f",
+            "85eacc4393bed79355ef61289843dfbe4c953177f8cefa67ee316d61feb7e7ce",
+            "92b9a3e532e79c5f93de865d495d6cb9ec11da7dd6ae47bada750f068c92fee2",
         )
 
     def test_2d_midpoints_with_relocation(self, tmp_path):
@@ -976,7 +1081,7 @@ class TestGoldenBytes:
             cutpoints_per_dim=30,
         )
         assert self.digests(data, ps, cfg, tmp_path) == (
-            "404bbdb13f0d9dc1fed1f82423fcde2f29dacf50227dc75232fea24ce45575ad",
-            "40ceb9a71db92b50b008c12b5cf045216ed3b1298ccd70abfefbc33ac0c3e989",
-            "34d6abae9d6106728dc85dd16f1c3da8e5989c559f3c4340cb422900b1d99de8",
+            "c4bffdf490c8161b6d85c52d24d6001c080aaa8c34994055c3dc8696c043bbb5",
+            "ae393b6880a736a2196f4f3b6ffc86bc1a0c3a44454fdb1374af39950a22d2bb",
+            "cbfc3272cf54a4e89c35a8272a51c6deac1294e2b652fb7bac7709db53cd3a22",
         )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixtrees.node_model import LeafPrior, NodeData, log_marginal_likelihood
 from mixtrees.trees import (
     CutpointGrid,
     Tree,
@@ -307,9 +308,11 @@ class TestCachedRowsAndSpans:
                 np.testing.assert_array_equal(got, expected[i][v])
 
     @staticmethod
-    def check_relocation(tree, X, min_leaf_n, prop, probe):
+    def check_relocation(tree, X, min_leaf_n, prop, probe, node_data):
         """Replay the relocation's draws with ``probe`` and judge the
-        candidate tree from scratch."""
+        candidate tree from scratch.  Its leaf sets must be the subtree's,
+        and must score as all the leaves do; ``node_data(rows)`` is the
+        :class:`NodeData` of those rows."""
         internals = tree.internal_nodes()
         if not internals:
             assert not prop.valid
@@ -333,6 +336,27 @@ class TestCachedRowsAndSpans:
             assert prop.tree.encode() == fresh.encode()
             delta = log_tree_prior(fresh) - log_tree_prior(tree)
             assert prop.log_prior_ratio == pytest.approx(delta, rel=0, abs=1e-12)
+            # Only the subtree's leaves change rows, and they are the sets.
+            old_rows, new_rows = tree.node_rows(X), prop.tree.node_rows(X)
+            subtree = range(node, fresh._subtree_end(node))
+            for leaf in fresh.leaf_nodes():
+                if leaf not in subtree:
+                    np.testing.assert_array_equal(new_rows[leaf], old_rows[leaf])
+            leaves = [i for i in subtree if fresh.var[i] < 0]
+            for sets, source in ((prop.old_leaf_sets, old_rows), (prop.new_leaf_sets, rows)):
+                assert [s.tolist() for s in sets] == [source[i].tolist() for i in leaves]
+
+            def log_ml(sets):
+                lp, sigma2 = LeafPrior(mean=[0.3, -0.2], sd=0.7), 0.4
+                return sum(
+                    log_marginal_likelihood(node_data(idx), lp, sigma2) for idx in sets
+                )
+
+            every = log_ml(new_rows[i] for i in fresh.leaf_nodes()) - log_ml(
+                old_rows[i] for i in tree.leaf_nodes()
+            )
+            scored = log_ml(prop.new_leaf_sets) - log_ml(prop.old_leaf_sets)
+            assert scored == pytest.approx(every, rel=0, abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -355,6 +379,14 @@ class TestCachedRowsAndSpans:
         grid = CutpointGrid.from_data(X, n_cuts, method)
         tree = Tree.root_only(grid, np.zeros(1))
         self.check(tree, X)
+        # Residuals and a (n, 2) design for scoring leaves, from their own
+        # stream so the moves draw what they did without them.
+        other = np.random.default_rng(seed + 1)
+        resid, design = other.normal(size=n), other.normal(size=(n, 2))
+
+        def node_data(rows):
+            return NodeData(residuals=resid[rows], design=design[rows])
+
         moves = ("birth", "birth", "death", "change")
         for _ in range(steps):
             move = moves[rng.integers(len(moves))]
@@ -365,7 +397,7 @@ class TestCachedRowsAndSpans:
             else:
                 probe = copy.deepcopy(rng)
                 prop = propose_rule_change(tree, X, min_leaf_n, rng)
-                self.check_relocation(tree, X, min_leaf_n, prop, probe)
+                self.check_relocation(tree, X, min_leaf_n, prop, probe, node_data)
             self.check(tree, X)
             if prop.valid:
                 tree = prop.tree
