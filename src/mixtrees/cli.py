@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, dataset as ds, eft, sampler
+from .dataset import read_csv, write_csv
 
 
 class ConfigError(Exception):
@@ -303,56 +304,12 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
-# table writing
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
-
-
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray], meta: dict):
-    with open(path, "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def read_csv(path: Path):
-    """Returns (meta dict, header list, columns dict of float arrays)."""
-    meta, header, rows = {}, None, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            rows.append([float(c) for c in cells])
-    if header is None or not rows:
-        raise ValueError(f"no data rows in {path}")
-    arr = np.array(rows)
-    return meta, header, {name: arr[:, i] for i, name in enumerate(header)}
+# commands
 
 
 def _grid_columns(grid: np.ndarray):
     names = [f"x{v + 1}" for v in range(grid.shape[1])]
     return names, [grid[:, v] for v in range(grid.shape[1])]
-
-
-# --------------------------------------------------------------------------
-# commands
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override=None) -> None:
@@ -504,14 +461,10 @@ def _build_report(run_dir: Path) -> str:
         for line in meta_path.read_text().splitlines():
             key, _, val = line.partition("=")
             meta[key.strip()] = val.strip()
-    _, _, grid_cols = read_csv(grid_path)
-    _, _, s_cols = read_csv(run_dir / "sigma2_trace.csv")
+    _, _, grid_cols = read_csv(grid_path, need=("mean", "lo95", "hi95", "wsum_mean"))
+    _, _, s_cols = read_csv(run_dir / "sigma2_trace.csv", need=("sigma2",))
     lines = _summary_lines(meta, grid_cols, s_cols["sigma2"])
     return "\n".join(lines) + "\n"
-
-
-def cmd_report(run_dir: Path) -> None:
-    print(_build_report(run_dir), end="")
 
 
 # --------------------------------------------------------------------------
@@ -536,7 +489,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "report":
-            cmd_report(args.run_dir)
+            print(_build_report(args.run_dir), end="")
             return 0
         cfg = ExperimentConfig(Path(args.config))
         out_dir = cfg.output_dir(args.out)

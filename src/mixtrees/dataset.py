@@ -1,10 +1,15 @@
-"""Synthetic observation generation and delimited-table I/O.
+"""Synthetic observation generation and the one delimited-table format.
 
 The two benchmark systems implemented here are the partition function of
 the zero-dimensional quartic theory (a 1-d integral in the coupling
 constant) and a 2-d trigonometric surface.  Observations are the system
 value plus iid Gaussian noise, generated from an explicit seed so every
 dataset is reproducible bit for bit.
+
+Every table the package writes has one format, written by :func:`write_csv`
+and read by :func:`read_csv`: ``# key = value`` metadata lines, a header of
+distinct column names, then comma-separated rows with floats at 17
+significant digits (exact in float64) and integers as integers.
 """
 
 from __future__ import annotations
@@ -125,77 +130,96 @@ def generate_observations(system, inputs, noise_sd: float, seed: int) -> Dataset
     return Dataset(inputs=inputs, outputs=clean + noise, noise_sd=noise_sd, seed=seed)
 
 
-def write_table(ds: Dataset, path) -> None:
-    """Write a dataset as a comma-delimited table with header ``x1,...,xd,y``.
+def _fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
 
-    Values are printed with 17 significant digits so the round trip through
-    ``read_table`` is exact in float64.  Provenance (noise_sd, seed) is kept
-    in leading comment lines.
-    """
-    d = ds.dim
-    header = ",".join([f"x{i + 1}" for i in range(d)] + ["y"])
+
+def write_csv(path, header: list[str], columns: list, meta: dict) -> None:
+    """Write ``meta`` as comment lines, then ``header`` and the columns' rows."""
     with open(path, "w") as fh:
-        fh.write(f"# noise_sd = {ds.noise_sd:.17g}\n")
-        fh.write(f"# seed = {ds.seed}\n")
-        fh.write(header + "\n")
-        for row, y in zip(ds.inputs, ds.outputs):
-            cells = [f"{v:.17g}" for v in row] + [f"{y:.17g}"]
-            fh.write(",".join(cells) + "\n")
+        for key, val in meta.items():
+            fh.write(f"# {key} = {val}\n")
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def read_table(path) -> Dataset:
-    """Parse a table written by :func:`write_table`.
+def read_csv(path, need=()):
+    """Returns (meta dict, header list, columns dict of float arrays).
 
-    Raises :class:`TableFormatError` naming the offending line for malformed
-    rows, inconsistent column counts, or non-numeric or non-finite cells.
+    Raises :class:`TableFormatError` naming ``path`` and the line for a
+    duplicate column name, a wrong cell count or a non-numeric or non-finite
+    cell, naming the column when one of ``need`` is missing, and for a table
+    without rows.
     """
-    noise_sd = 0.0
-    seed = 0
-    rows = []
-    ncol = None
+    meta, header, rows, linenos = {}, None, [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    key = key.strip()
-                    try:
-                        if key == "noise_sd":
-                            noise_sd = float(val)
-                        elif key == "seed":
-                            seed = int(val)
-                    except ValueError:
-                        raise TableFormatError(
-                            f"line {lineno}: bad metadata value {val.strip()!r}"
-                        ) from None
+                key, eq, val = line[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = val.strip()
                 continue
-            cells = [c.strip() for c in line.split(",")]
-            if ncol is None:
-                # Header row: x1,...,xd,y
-                if cells[-1] != "y":
+            cells = line.split(",")
+            if header is None:
+                header = [c.strip() for c in cells]
+                if len(set(header)) != len(header):
                     raise TableFormatError(
-                        f"line {lineno}: expected header ending in 'y', got {line!r}"
+                        f"{path}, line {lineno}: duplicate column name in {line!r}"
                     )
-                ncol = len(cells)
                 continue
-            if len(cells) != ncol:
+            if len(cells) != len(header):
                 raise TableFormatError(
-                    f"line {lineno}: expected {ncol} columns, found {len(cells)}"
+                    f"{path}, line {lineno}: expected {len(header)} columns, "
+                    f"found {len(cells)}"
                 )
             try:
-                row = [float(c) for c in cells]
+                rows.append([float(c) for c in cells])
             except ValueError:
                 raise TableFormatError(
-                    f"line {lineno}: non-numeric cell in {line!r}"
+                    f"{path}, line {lineno}: non-numeric cell in {line!r}"
                 ) from None
-            if not np.all(np.isfinite(row)):
-                raise TableFormatError(f"line {lineno}: non-finite cell in {line!r}")
-            rows.append(row)
-    if ncol is None or not rows:
-        raise TableFormatError("no observations")
+            linenos.append(lineno)
+    if not rows:
+        raise TableFormatError(f"{path}: no observations (the table has no rows)")
     arr = np.array(rows)
-    return Dataset(inputs=arr[:, :-1], outputs=arr[:, -1], noise_sd=noise_sd, seed=seed)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise TableFormatError(
+            f"{path}, line {linenos[i]}: non-finite cell in column {header[j]!r}"
+        )
+    for name in need:
+        if name not in header:
+            raise TableFormatError(f"{path}: no column {name!r}")
+    return meta, header, {name: arr[:, i] for i, name in enumerate(header)}
+
+
+def write_table(ds: Dataset, path) -> None:
+    """Write a dataset as a table with header ``x1,...,xd,y``; its provenance
+    (noise_sd, seed) goes in the metadata lines."""
+    header = [f"x{i + 1}" for i in range(ds.dim)] + ["y"]
+    columns = [ds.inputs[:, i] for i in range(ds.dim)] + [ds.outputs]
+    write_csv(path, header, columns, {"noise_sd": f"{ds.noise_sd:.17g}", "seed": ds.seed})
+
+
+def read_table(path) -> Dataset:
+    """Parse a table written by :func:`write_table`: the column ``y`` is the
+    output and every other column, in header order, an input."""
+    meta, header, cols = read_csv(path, need=("y",))
+    try:
+        noise_sd = float(meta.get("noise_sd", 0.0))
+        seed = int(meta.get("seed", 0))
+    except ValueError as exc:
+        raise TableFormatError(f"{path}: bad metadata value: {exc}") from None
+    inputs = [cols[name] for name in header if name != "y"]
+    if not inputs:
+        raise TableFormatError(f"{path}: no input column")
+    return Dataset(np.column_stack(inputs), cols["y"], noise_sd=noise_sd, seed=seed)

@@ -181,7 +181,6 @@ class Chain:
         self.fits = np.stack(
             [np.einsum("nk,nk->n", self.F, t.evaluate(self.X)) for t in self.trees]
         )
-        self.total_fit = self.fits.sum(axis=0)
         self._live = [{} for _ in self.trees]
         self._resid, self._factors = None, {}
         self.n_proposals = 0
@@ -199,7 +198,7 @@ class Chain:
 
     def tree_residuals(self, j: int) -> np.ndarray:
         """y minus the fitted contribution of every tree except tree j."""
-        return self.y - (self.total_fit - self.fits[j])
+        return self.y - (self.fits.sum(axis=0) - self.fits[j])
 
     def _leaf(self, j, idx, resid):
         """Key of tree j's leaf with rows idx, and its residual slice, stats
@@ -283,11 +282,10 @@ class Chain:
             tree.values[leaf] = value  # a new vector: split children share one
             fit_j[idx] = value @ design
         self._live[j] = live  # only the surviving leaves: changed rows drop out
-        self.total_fit = self.fits.sum(axis=0)
 
     @property
     def total_sse(self) -> float:
-        err = self.y - self.total_fit
+        err = self.y - self.fits.sum(axis=0)
         return float(err @ err)
 
     def gibbs_sweep(
@@ -619,7 +617,10 @@ def load_draws(path) -> list[tuple[float, list[Tree]]]:
             if line.startswith("draw "):
                 out.append((_archive_sigma2(line), []))
             elif line.startswith("tree ") and out:
-                out[-1][1].append(Tree.decode(line[5:]))
+                try:
+                    out[-1][1].append(Tree.decode(line[5:]))
+                except ValueError as exc:
+                    raise ValueError(f"bad archive line: {line!r} ({exc})") from None
             else:
                 raise ValueError(f"bad archive line: {line!r}")
     return out

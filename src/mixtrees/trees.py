@@ -17,6 +17,7 @@ changes instead of re-partitioning the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -184,8 +185,8 @@ class Tree:
         return self._route(X, rows, 0, len(self.var))
 
     def node_rows(self, X: np.ndarray) -> list[np.ndarray]:
-        """Rows of X reaching each node, cached for the X last asked about."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Rows of the (n, d) float array X reaching each node, cached for
+        the X last asked about."""
         if self._X is not X:
             self._rows, self._X = self.partition(X), X
         return self._rows
@@ -288,7 +289,11 @@ class Tree:
 
     @classmethod
     def decode(cls, text: str, grid: Optional[CutpointGrid] = None) -> "Tree":
-        """Inverse of :meth:`encode`; without a grid the tree only evaluates."""
+        """Inverse of :meth:`encode`; without a grid the tree only evaluates.
+
+        Raises ValueError on text it cannot parse and on a non-finite cut or
+        leaf value.
+        """
         tokens = text.split()
         var, cut, right, depths, values = [], [], [], [], []
         waiting = []  # internal nodes whose right child is still to come
@@ -308,7 +313,10 @@ class Tree:
             tag = tokens[pos]
             if tag == "L" and pos + 1 < len(tokens):
                 stop = pos + 2 + int(tokens[pos + 1])
-                values.append(np.array([float(t) for t in tokens[pos + 2 : stop]]))
+                leaf = [float(t) for t in tokens[pos + 2 : stop]]
+                if not all(map(math.isfinite, leaf)):
+                    raise ValueError(f"non-finite leaf value near token {pos + 1}")
+                values.append(np.array(leaf))
                 var.append(-1)
                 cut.append(np.nan)
             elif tag == "I" and pos + 2 < len(tokens):
@@ -316,6 +324,8 @@ class Tree:
                 values.append(None)
                 var.append(int(tokens[pos + 1]))
                 cut.append(float(tokens[pos + 2]))
+                if not math.isfinite(cut[-1]):
+                    raise ValueError(f"non-finite cut near token {pos + 1}")
                 waiting.append(i)
             elif tag in ("L", "I"):
                 break
@@ -387,10 +397,10 @@ def propose_birth(
 ) -> Proposal:
     """Grow a uniformly chosen leaf with a uniformly chosen rule.
 
-    The proposal is marked invalid when no leaf can grow or when either
-    child would receive fewer than ``min_leaf_n`` training points.
+    ``X`` is the (n, d) float array of training inputs.  The proposal is
+    marked invalid when no leaf can grow or when either child would receive
+    fewer than ``min_leaf_n`` training points.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     growable = tree.growable_leaves()
     if not growable:
         return Proposal("birth", valid=False)
@@ -424,8 +434,8 @@ def propose_birth(
 
 
 def propose_death(tree: Tree, X: np.ndarray, rng: np.random.Generator) -> Proposal:
-    """Collapse a uniformly chosen internal node whose children are leaves."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """Collapse a uniformly chosen internal node whose children are leaves;
+    ``X`` is the (n, d) float array of training inputs."""
     nogs = tree.nog_nodes()
     if not nogs:
         return Proposal("death", valid=False)
@@ -473,9 +483,9 @@ def propose_rule_change(
     cut among n_cuts(new var) and the reverse among n_cuts(old var), so
     with two or more usable variables the ratio is off by
     n_cuts(old var) / n_cuts(new var).  Kept draws come from birth/death
-    alone, so this bias stays in warmup.
+    alone, so this bias stays in warmup.  ``X`` is the (n, d) float array
+    of training inputs.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     internals = tree.internal_nodes()
     if not internals:
         return Proposal("change", valid=False)

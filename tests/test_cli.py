@@ -428,6 +428,40 @@ class TestReport:
         assert main(["report", str(out / "mini")]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "damage", ["renamed_column", "missing_cell", "non_numeric", "nan_cell"]
+    )
+    def test_damaged_table_exits_3_naming_file_and_line(
+        self, mini_cfg, tmp_path, capsys, damage
+    ):
+        # A damaged table exits 3 naming its file and the line or column,
+        # never with a traceback or a summary of nan.
+        out = tmp_path / "runs"
+        assert main(["mix", "--config", str(mini_cfg), "--out", str(out)]) == 0
+        run = out / "mini"
+        grid_damage = damage in ("renamed_column", "missing_cell")
+        table = "mix_grid.csv" if grid_damage else "sigma2_trace.csv"
+        lines = (run / table).read_text().splitlines()
+        head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        row = head + 5
+        cells = lines[row].split(",")
+        where = f"line {row + 1}"
+        if damage == "renamed_column":
+            lines[head] = lines[head].replace("wsum_mean", "wsum_avg")
+            where = "'wsum_mean'"
+        elif damage == "missing_cell":
+            lines[row] = ",".join(cells[:-1])
+        else:
+            cells[-1] = "oops" if damage == "non_numeric" else "nan"
+            lines[row] = ",".join(cells)
+        (run / table).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert table in captured.err and where in captured.err
+        assert "Traceback" not in captured.err
+
     def test_missing_run_dir_is_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 2
         assert "error" in capsys.readouterr().err
@@ -613,7 +647,12 @@ class TestBenchmarkHooks:
         )
         assert proc.returncode == 0, proc.stderr
         layers = json.loads(metrics.read_text())
-        for name in ("trees.evaluate.calls", "trees.encode.calls", "node_model.log_ml.calls"):
+        for name in (
+            "trees.evaluate.calls",
+            "trees.encode.calls",
+            "node_model.log_ml.calls",
+            "cli.write_csv.calls",  # cli writes through the name trace_child patches
+        ):
             assert layers[name] > 0, name
 
     def test_trace_targets_install(self):

@@ -6,9 +6,11 @@ from mixtrees.dataset import (
     TableFormatError,
     generate_observations,
     linspace_grid,
+    read_csv,
     read_table,
     true_system_2d,
     true_system_phi4,
+    write_csv,
     write_table,
 )
 
@@ -193,6 +195,41 @@ class TestTableRoundTrip:
         path.write_text("x1,y\n")
         with pytest.raises(TableFormatError, match="no observations"):
             read_table(path)
+
+    def test_duplicate_column_names_header_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("# seed = 1\nx1,x1,y\n0.1,0.2,1.0\n")
+        with pytest.raises(TableFormatError, match="line 2: duplicate"):
+            read_table(path)
+
+    @pytest.mark.parametrize(
+        "text, message", [("x1,x2\n0.1,1.0\n", "no column 'y'"), ("y\n1.0\n", "no input")]
+    )
+    def test_missing_column_named(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(TableFormatError, match=rf"t\.csv: {message}"):
+            read_table(path)
+
+
+class TestCsv:
+    def test_round_trip_keeps_meta_header_and_values(self, tmp_path):
+        path = tmp_path / "t.csv"
+        values = np.array([0.1, -2.5e-300, 1.0 / 3.0])
+        write_csv(path, ["i", "flag", "v"], [np.arange(3), values > 0, values], {"seed": 4})
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["# seed = 4", "i,flag,v", "0,1,0.10000000000000001"]
+        meta, header, cols = read_csv(path, need=("v",))
+        assert meta == {"seed": "4"}
+        assert header == ["i", "flag", "v"]
+        np.testing.assert_array_equal(cols["v"], values)
+        np.testing.assert_array_equal(cols["flag"], [1.0, 0.0, 1.0])
+
+    def test_non_finite_cell_names_line_and_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# k = v\na,b\n1,2\n3,-inf\n")
+        with pytest.raises(TableFormatError, match=r"t\.csv, line 4: .* column 'b'"):
+            read_csv(path)
 
 
 class TestDatasetInvariants:

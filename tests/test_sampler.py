@@ -103,7 +103,6 @@ class TestTreeResiduals:
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         chain.trees[0].values[0] = np.zeros(2)
         chain.fits[0] = 0.0
-        chain.total_fit = chain.fits.sum(axis=0)
         np.testing.assert_array_equal(chain.tree_residuals(0), data.outputs)
 
     def test_zero_valued_other_trees_give_y(self):
@@ -113,7 +112,6 @@ class TestTreeResiduals:
         for t in chain.trees:
             t.values[0] = np.zeros(2)
         chain.fits[:] = 0.0
-        chain.total_fit = chain.fits.sum(axis=0)
         np.testing.assert_array_equal(chain.tree_residuals(1), data.outputs)
 
     def test_three_tree_bruteforce_oracle(self):
@@ -129,7 +127,6 @@ class TestTreeResiduals:
                 for t in chain.trees
             ]
         )
-        chain.total_fit = chain.fits.sum(axis=0)
         j = 1
         expected = data.outputs.copy()
         for q, tree in enumerate(chain.trees):
@@ -846,15 +843,21 @@ class TestDrawArchive:
             "draw 1 sigma2 0.5 0.5",
             "draw 1 sigma 0.5",
             "draw 1 sigma2 half",
+            "tree L 2 0.5",
+            "tree L 2 0.5 x",
+            "tree L 2 nan 0.5",
+            "tree L 2 inf 0.5",
+            "tree I 0 nan L 2 1 1 L 2 0 0",
         ],
     )
     def test_malformed_archive_rejected(self, tmp_path, bad):
         # A tree line before any draw line, a draw line without one finite,
-        # positive sigma2, and an unknown line each raise ValueError naming
-        # the line, where they raised IndexError or loaded a bad sigma2.
+        # positive sigma2, a tree line that does not parse or holds a
+        # non-finite cut or leaf, and an unknown line each raise ValueError
+        # naming the line.
         good = "draw 0 sigma2 0.25\ntree L 2 0.5 0.5\n"
         path = tmp_path / "draws.txt"
-        if bad.startswith("tree"):
+        if bad == "tree L 2 0.5 0.5":  # valid, but before any draw line
             path.write_text("# m = 1\n" + bad + "\n" + good)
         else:
             path.write_text(good + bad + "\ntree L 2 0.5 0.5\n")
