@@ -146,12 +146,12 @@ def _log_ml_raw(resid, design, mean, sd, sigma2, factor=None) -> float:
     )
 
 
-def _sample_leaf_raw(resid, design, mean, sd, sigma2, rng, factor=None) -> np.ndarray:
-    """``factor``, when given, is ``_factor`` of these same arguments."""
+def _sample_leaf_raw(resid, design, mean, sd, sigma2, z, factor=None) -> np.ndarray:
+    """The leaf draw for the K standard normals ``z``; ``factor``, when
+    given, is ``_factor`` of the other arguments."""
     chol, u = factor or _factor(resid, design, _gram(design), mean, sd, sigma2)
     # The mean L^-T u plus x ~ N(0, A), x = L^-T z with L L^T = A^-1: one
     # solve of L^T against u + z.
-    z = rng.standard_normal(len(u)).tolist()
     return np.array(_solve_upper_t(chol, [a + b for a, b in zip(u, z)]))
 
 
@@ -182,7 +182,8 @@ def sample_leaf(
     nd: NodeData, lp: LeafPrior, sigma2: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw the leaf vector from its full conditional."""
-    return _sample_leaf_raw(*_args(nd, lp, sigma2), rng)
+    z = rng.standard_normal(nd.design.shape[1]).tolist()
+    return _sample_leaf_raw(*_args(nd, lp, sigma2), z)
 
 
 def sample_sigma2(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -228,19 +229,22 @@ class Chain:
         """Propose birth or death on tree j and accept via the integrated
         likelihood of its residuals ``resid`` (:meth:`tree_residuals`); then
         redraw all its leaves.  Returns the accept flag."""
-        accepted = False
-        if structure:
-            self.n_proposals += 1
-            tree, rng = self.trees[j], self.rng
-            if rng.random() < BIRTH_PROB:
-                prop = propose_birth(tree, self.X, self.cfg.min_leaf_n, rng)
-                log_kind = LOG_KIND_BIRTH
-            else:
-                prop = propose_death(tree, self.X, rng)
-                log_kind = LOG_KIND_DEATH
-            accepted = self._try_accept(j, prop, resid, log_kind)
+        accepted = structure and self._birth_or_death(j, resid)
         self._redraw_leaves(j, resid)
         return accepted
+
+    def _birth_or_death(self, j: int, resid) -> bool:
+        """Propose birth or death on tree j and run its Metropolis-Hastings
+        test against ``resid``, without a redraw; returns the accept flag."""
+        self.n_proposals += 1
+        tree, rng = self.trees[j], self.rng
+        if rng.random() < BIRTH_PROB:
+            prop = propose_birth(tree, self.X, self.cfg.min_leaf_n, rng)
+            log_kind = LOG_KIND_BIRTH
+        else:
+            prop = propose_death(tree, self.X, rng)
+            log_kind = LOG_KIND_DEATH
+        return self._try_accept(j, prop, resid, log_kind)
 
     def mh_rule_change(self, j: int, resid) -> bool:
         """Relocate one rule of tree j (warmup move) against its residuals
@@ -272,13 +276,16 @@ class Chain:
     def _redraw_leaves(self, j: int, resid: np.ndarray) -> None:
         tree, fit_j = self.trees[j], self.fits[j]
         rows = tree.node_rows(self.X)
+        leaves = tree.leaf_nodes()
+        # The same values as one standard_normal(K) per leaf, in leaf order.
+        normals = self.rng.standard_normal((len(leaves), self.n_models)).tolist()
         live = {}
-        for leaf in tree.leaf_nodes():
+        for leaf, z in zip(leaves, normals):
             idx = rows[leaf]
             key, (r, stats, factor) = self._leaf(j, idx, resid)
             live[key] = stats
             design, _, mean, sd = stats
-            value = _sample_leaf_raw(r, design, mean, sd, self.sigma2, self.rng, factor)
+            value = _sample_leaf_raw(r, design, mean, sd, self.sigma2, z, factor)
             tree.values[leaf] = value  # a new vector: split children share one
             fit_j[idx] = value @ design
         self._live[j] = live  # only the surviving leaves: changed rows drop out
@@ -312,9 +319,18 @@ class Chain:
             # The other trees and sigma2 stay fixed through both moves on
             # tree j, so they share its residuals and so its factor cache.
             resid = self.tree_residuals(j)
-            self.mh_tree_update(j, resid, structure=structure)
             if warmup and structure:
+                self._birth_or_death(j, resid)
+                # A leaf redraw here would be overwritten unread: the
+                # relocation integrates the leaves out, and the redraw after
+                # it rewrites every leaf and every row of fits[j].  Its
+                # normals are still drawn, so the generator stands where
+                # that redraw would leave it and the draws keep their bytes.
+                n_leaves = len(self.trees[j].leaf_nodes())
+                self.rng.standard_normal((n_leaves, self.n_models))
                 self.mh_rule_change(j, resid)
+            else:
+                self.mh_tree_update(j, resid, structure=structure)
         if not hold_sigma2:
             self.sigma2 = sample_sigma2(self.total_sse, self.n, self.noise, self.rng)
 
@@ -355,6 +371,10 @@ class PosteriorDraws:
         self.skeletons: list[Tree] = []
         self.leaf_nodes: list[list[int]] = []
         self._index = {}
+        # Per position, a weak reference to the tree of the last append and
+        # its structure id; a pickled copy forgets them.
+        self._held: list[weakref.ref] = []
+        self._held_ids: list[int] = []
         self.n_kept = self.n_leaves = 0
         self._sigma2 = np.empty(0)
         self._ids = np.empty((0, 0), dtype=np.intp)
@@ -403,14 +423,43 @@ class PosteriorDraws:
 
     def append(self, sigma2: float, trees: list[Tree]) -> None:
         """Keep one draw: ``sigma2`` and the structures and current leaf
-        vectors of ``trees``."""
-        ids, offsets, values = [], [], []
-        for tree in trees:
-            sid = self._intern(tree)
-            ids.append(sid)
+        vectors of ``trees``.
+
+        A tree object that held the same position at the last append keeps
+        that append's structure id, so a tree's structure must not change
+        in place between appends; the chain replaces a tree object on every
+        accepted move and changes only leaf values in place.  Raises
+        ValueError for a draw without trees, or with another number of
+        trees than the draws already kept, and for leaf vectors that differ
+        in length from each other or from those of the draws already kept.
+        """
+        if not trees:
+            raise ValueError("a draw without trees")
+        if self.n_kept and len(trees) != self._ids.shape[1]:
+            raise ValueError(f"a draw of {len(trees)} trees, expected {self._ids.shape[1]}")
+        if len(self._held) == len(trees):
+            ids = [
+                sid if ref() is tree else self._intern(tree)
+                for tree, ref, sid in zip(trees, self._held, self._held_ids)
+            ]
+        else:
+            ids = [self._intern(tree) for tree in trees]
+        offsets, values = [], []
+        for tree, sid in zip(trees, ids):
             offsets.append(self.n_leaves + len(values))
             values += [tree.values[i] for i in self.leaf_nodes[sid]]
-        self._add([sigma2], [ids], [offsets], np.array(values, dtype=float))
+        try:
+            values = np.array(values, dtype=float)
+            same = not self.n_leaves or values.shape[1:] == self._values.shape[1:]
+        except ValueError:  # ragged leaf vectors
+            same = False
+        if not same:
+            raise ValueError("leaf vectors of different lengths")
+        self._add([sigma2], [ids], [offsets], values)
+        self._held, self._held_ids = list(map(weakref.ref, trees)), ids
+
+    def __getstate__(self):
+        return dict(self.__dict__, _held=[], _held_ids=[])
 
     @classmethod
     def concat(cls, parts: list["PosteriorDraws"]) -> "PosteriorDraws":
@@ -606,24 +655,40 @@ def load_draws(path) -> list[tuple[float, list[Tree]]]:
     """Read a draw archive back as (sigma2, trees) pairs for re-prediction.
 
     A line that is not a comment, a ``draw i sigma2 s`` line with a finite,
-    positive s, or a ``tree`` line after a draw line raises ValueError.
+    positive s, or a ``tree`` line after a draw line raises ValueError, and
+    so does a leaf whose length is not the ``# n_models = K`` header's K.
     """
-    out = []
+    out, n_models = [], None
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
+            if not line:
                 continue
-            if line.startswith("draw "):
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                if key.strip() == "n_models":
+                    n_models = _archive_n_models(line, value)
+            elif line.startswith("draw "):
                 out.append((_archive_sigma2(line), []))
             elif line.startswith("tree ") and out:
                 try:
-                    out[-1][1].append(Tree.decode(line[5:]))
+                    out[-1][1].append(Tree.decode(line[5:], k=n_models))
                 except ValueError as exc:
                     raise ValueError(f"bad archive line: {line!r} ({exc})") from None
             else:
                 raise ValueError(f"bad archive line: {line!r}")
     return out
+
+
+def _archive_n_models(line: str, value: str) -> int:
+    """The K of a ``# n_models = K`` archive line."""
+    try:
+        k = int(value)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise ValueError(f"bad archive line: {line!r}")
+    return k
 
 
 def _archive_sigma2(line: str) -> float:
@@ -639,10 +704,20 @@ def _archive_sigma2(line: str) -> float:
 
 
 def predict_from_archive(ensembles, grid, grid_means) -> MixedSummary:
-    """Re-predict on a new grid from archived (sigma2, trees) pairs."""
+    """Re-predict on a new grid from archived (sigma2, trees) pairs.
+
+    Leaf vectors of different lengths, or of a length other than the number
+    of columns of ``grid_means``, raise ValueError.
+    """
+    k = np.atleast_2d(np.asarray(grid_means, dtype=float)).shape[1]
     draws = PosteriorDraws()
-    for sigma2, trees in ensembles:
-        draws.append(sigma2, trees)
+    for s, (sigma2, trees) in enumerate(ensembles):
+        try:
+            draws.append(sigma2, trees)
+        except ValueError as exc:
+            raise ValueError(f"draw {s}: {exc}") from None
+    if draws.n_kept and draws.values.shape[1] != k:
+        raise ValueError(f"leaf vectors of {draws.values.shape[1]} values, expected {k}")
     return predict_mixed(draws, grid, grid_means)
 
 

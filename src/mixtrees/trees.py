@@ -18,8 +18,8 @@ changes instead of re-partitioning the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from bisect import bisect_left, bisect_right
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,10 +36,12 @@ def split_probability(depth: int) -> float:
 
 
 class CutpointGrid:
-    """Per-dimension candidate cut values, sorted ascending."""
+    """Per-dimension candidate cut values, sorted ascending, as arrays
+    (``cuts``) and as lists of Python floats (``cut_lists``)."""
 
     def __init__(self, cuts: list[np.ndarray]):
         self.cuts = [np.sort(np.asarray(c, dtype=float)) for c in cuts]
+        self.cut_lists = [c.tolist() for c in self.cuts]
 
     @classmethod
     def from_data(
@@ -213,9 +215,9 @@ class Tree:
                 v = self.var[i]
                 if v < 0:
                     continue
-                cuts, (lo, hi) = self.grid.cuts[v], self.spans[i][v]
-                below = int(np.searchsorted(cuts, self.cut[i], "left"))
-                not_above = int(np.searchsorted(cuts, self.cut[i], "right"))
+                cuts, (lo, hi) = self.grid.cut_lists[v], self.spans[i][v]
+                below = bisect_left(cuts, self.cut[i])
+                not_above = bisect_right(cuts, self.cut[i])
                 inside = inside and lo <= below < hi
                 left, right = list(self.spans[i]), list(self.spans[i])
                 left[v], right[v] = (lo, min(hi, below)), (max(lo, not_above), hi)
@@ -288,11 +290,13 @@ class Tree:
         return " ".join(parts)
 
     @classmethod
-    def decode(cls, text: str, grid: Optional[CutpointGrid] = None) -> "Tree":
+    def decode(
+        cls, text: str, grid: Optional[CutpointGrid] = None, k: Optional[int] = None
+    ) -> "Tree":
         """Inverse of :meth:`encode`; without a grid the tree only evaluates.
 
-        Raises ValueError on text it cannot parse and on a non-finite cut or
-        leaf value.
+        Raises ValueError on text it cannot parse, on a non-finite cut or
+        leaf value, and, when ``k`` is given, on a leaf of other than k values.
         """
         tokens = text.split()
         var, cut, right, depths, values = [], [], [], [], []
@@ -312,7 +316,12 @@ class Tree:
                 raise ValueError("trailing tokens in tree encoding")
             tag = tokens[pos]
             if tag == "L" and pos + 1 < len(tokens):
-                stop = pos + 2 + int(tokens[pos + 1])
+                n_values = int(tokens[pos + 1])
+                if k is not None and n_values != k:
+                    raise ValueError(
+                        f"leaf of {n_values} values near token {pos + 1}, expected {k}"
+                    )
+                stop = pos + 2 + n_values
                 leaf = [float(t) for t in tokens[pos + 2 : stop]]
                 if not all(map(math.isfinite, leaf)):
                     raise ValueError(f"non-finite leaf value near token {pos + 1}")
@@ -343,8 +352,12 @@ class Tree:
 
 
 def _log_rule_prob(tree: Tree, i: int) -> float:
-    """Log prior probability of internal node i's rule given its ancestors."""
-    return -np.log(len(tree.usable_vars(i))) - np.log(tree.n_cuts(i, tree.var[i]))
+    """Log prior probability of internal node i's rule given its ancestors:
+    -inf when the rule's variable has no valid cut at node i."""
+    n_cuts = tree.n_cuts(i, tree.var[i])
+    if n_cuts == 0:
+        return -math.inf
+    return -math.log(len(tree.usable_vars(i))) - math.log(n_cuts)
 
 
 def log_tree_prior(tree: Tree) -> float:
@@ -353,35 +366,57 @@ def log_tree_prior(tree: Tree) -> float:
     for i, depth in enumerate(tree.depths):
         p = split_probability(depth)
         if tree.var[i] < 0:
-            total += np.log1p(-p)
+            total += math.log1p(-p)
         else:
-            total += np.log(p) + _log_rule_prob(tree, i)
-    return float(total)
+            total += math.log(p) + _log_rule_prob(tree, i)
+    return total
 
 
-@dataclass
 class Proposal:
-    """Outcome of a structure move; ``valid`` is False for auto-rejects."""
+    """Outcome of a structure move; ``valid`` is False for auto-rejects.
 
-    kind: str
-    valid: bool
-    tree: Optional[Tree] = None
-    log_forward: float = 0.0
-    log_reverse: float = 0.0
-    log_prior_ratio: float = 0.0
-    old_leaf_sets: list = field(default_factory=list)
-    new_leaf_sets: list = field(default_factory=list)
+    ``tree`` is the proposed tree.  A birth or death passes ``build``
+    instead, which makes the tree on the first access of ``tree``, so a
+    rejected one copies nothing; its ``log_reverse`` is counted on the
+    current tree.  ``old_leaf_sets`` and ``new_leaf_sets`` are the row sets
+    of the leaves whose log marginal likelihoods enter the ratio.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        valid: bool,
+        tree: Optional[Tree] = None,
+        build: Optional[Callable[[], Tree]] = None,
+        log_forward: float = 0.0,
+        log_reverse: float = 0.0,
+        log_prior_ratio: float = 0.0,
+        old_leaf_sets: Optional[list] = None,
+        new_leaf_sets: Optional[list] = None,
+    ):
+        self.kind, self.valid = kind, valid
+        self._tree, self._build = tree, build
+        self.log_forward, self.log_reverse = log_forward, log_reverse
+        self.log_prior_ratio = log_prior_ratio
+        self.old_leaf_sets = old_leaf_sets or []
+        self.new_leaf_sets = new_leaf_sets or []
+
+    @property
+    def tree(self) -> Optional[Tree]:
+        if self._build is not None:
+            self._tree, self._build = self._build(), None
+        return self._tree
 
 
 def _birth_prior_terms(depth: int, n_vars: int, n_cuts: int) -> float:
     p_here = split_probability(depth)
     p_child = split_probability(depth + 1)
     return (
-        np.log(p_here)
-        + 2.0 * np.log1p(-p_child)
-        - np.log1p(-p_here)
-        - np.log(n_vars)
-        - np.log(n_cuts)
+        math.log(p_here)
+        + 2.0 * math.log1p(-p_child)
+        - math.log1p(-p_here)
+        - math.log(n_vars)
+        - math.log(n_cuts)
     )
 
 
@@ -389,7 +424,21 @@ def _draw_rule(tree: Tree, i: int, usable_vars, rng):
     """Uniform variable, then uniform valid cut of it, at node i."""
     var = usable_vars[rng.integers(len(usable_vars))]
     lo, hi = tree.spans[i][var]
-    return var, float(tree.grid.cuts[var][lo + rng.integers(hi - lo)]), hi - lo
+    return var, tree.grid.cut_lists[var][lo + rng.integers(hi - lo)], hi - lo
+
+
+def _grown(tree: Tree, leaf: int, var: int, cut: float) -> Tree:
+    """A copy of ``tree`` with ``leaf`` split by ``x_var < cut``."""
+    new = tree.copy()
+    new._split(leaf, var, cut)
+    return new
+
+
+def _collapsed(tree: Tree, node: int) -> Tree:
+    """A copy of ``tree`` with ``node``'s two leaf children collapsed."""
+    new = tree.copy()
+    new._collapse(node)
+    return new
 
 
 def propose_birth(
@@ -399,7 +448,9 @@ def propose_birth(
 
     ``X`` is the (n, d) float array of training inputs.  The proposal is
     marked invalid when no leaf can grow or when either child would receive
-    fewer than ``min_leaf_n`` training points.
+    fewer than ``min_leaf_n`` training points.  The grown tree is built
+    only when ``Proposal.tree`` is read; the reverse move's count of
+    collapsible nodes comes from the current tree.
     """
     growable = tree.growable_leaves()
     if not growable:
@@ -415,19 +466,20 @@ def propose_birth(
         return Proposal("birth", valid=False)
 
     log_forward = -(
-        np.log(len(growable)) + np.log(len(usable_vars)) + np.log(n_cuts)
+        math.log(len(growable)) + math.log(len(usable_vars)) + math.log(n_cuts)
     )
     log_prior_ratio = _birth_prior_terms(tree.depths[leaf], len(usable_vars), n_cuts)
-    new = tree.copy()
-    new._split(leaf, var, cut)
-    log_reverse = -np.log(len(new.nog_nodes()))
+    # The grown leaf becomes collapsible, and its parent stops being so if
+    # it was: a collapsible node at leaf - 1 or leaf - 2 has the leaf as a child.
+    nogs = tree.nog_nodes()
+    n_nogs = len(nogs) + 1 - (leaf - 1 in nogs or leaf - 2 in nogs)
     return Proposal(
         "birth",
         valid=True,
-        tree=new,
-        log_forward=float(log_forward),
-        log_reverse=float(log_reverse),
-        log_prior_ratio=float(log_prior_ratio),
+        build=lambda: _grown(tree, leaf, var, cut),
+        log_forward=log_forward,
+        log_reverse=-math.log(n_nogs),
+        log_prior_ratio=log_prior_ratio,
         old_leaf_sets=[idx],
         new_leaf_sets=[idx_left, idx_right],
     )
@@ -435,30 +487,36 @@ def propose_birth(
 
 def propose_death(tree: Tree, X: np.ndarray, rng: np.random.Generator) -> Proposal:
     """Collapse a uniformly chosen internal node whose children are leaves;
-    ``X`` is the (n, d) float array of training inputs."""
+    ``X`` is the (n, d) float array of training inputs.
+
+    The collapsed tree is built only when ``Proposal.tree`` is read.  The
+    reverse birth's terms come from the current tree: the collapse keeps
+    the node's span and depth, and swaps its two leaf children for itself
+    among the growable leaves.
+    """
     nogs = tree.nog_nodes()
     if not nogs:
         return Proposal("death", valid=False)
     node = nogs[rng.integers(len(nogs))]
-    log_forward = -np.log(len(nogs))
+    log_forward = -math.log(len(nogs))
 
     rows = tree.node_rows(X)
-    var = tree.var[node]
-    new = tree.copy()
-    new._collapse(node)
-    usable_vars = len(new.usable_vars(node))
-    n_cuts = new.n_cuts(node, var)
+    usable_vars = len(tree.usable_vars(node))
+    n_cuts = tree.n_cuts(node, tree.var[node])
+    growable = tree.growable_leaves()
+    n_growable = len(growable) + (usable_vars > 0)
+    n_growable -= (node + 1 in growable) + (node + 2 in growable)
     log_reverse = -(
-        np.log(len(new.growable_leaves())) + np.log(usable_vars) + np.log(n_cuts)
+        math.log(n_growable) + math.log(usable_vars) + math.log(n_cuts)
     )
-    log_prior_ratio = -_birth_prior_terms(new.depths[node], usable_vars, n_cuts)
+    log_prior_ratio = -_birth_prior_terms(tree.depths[node], usable_vars, n_cuts)
     return Proposal(
         "death",
         valid=True,
-        tree=new,
-        log_forward=float(log_forward),
-        log_reverse=float(log_reverse),
-        log_prior_ratio=float(log_prior_ratio),
+        build=lambda: _collapsed(tree, node),
+        log_forward=log_forward,
+        log_reverse=log_reverse,
+        log_prior_ratio=log_prior_ratio,
         old_leaf_sets=[rows[node + 1], rows[node + 2]],
         new_leaf_sets=[rows[node]],
     )
@@ -512,9 +570,7 @@ def propose_rule_change(
         "change",
         valid=True,
         tree=new,
-        log_forward=0.0,
-        log_reverse=0.0,
-        log_prior_ratio=float(log_prior_ratio),
+        log_prior_ratio=log_prior_ratio,
         old_leaf_sets=old_sets,
         new_leaf_sets=new_sets,
     )

@@ -650,7 +650,10 @@ class TestBenchmarkHooks:
         for name in (
             "trees.evaluate.calls",
             "trees.encode.calls",
+            "trees.birth.valid",  # trace_child reads Proposal.valid
+            "trees.death.valid",
             "node_model.log_ml.calls",
+            "node_model.leaf.calls",  # sampler calls the _sample_leaf_raw it patches
             "cli.write_csv.calls",  # cli writes through the name trace_child patches
         ):
             assert layers[name] > 0, name

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from mixtrees import sampler as sampler_module
 from mixtrees.dataset import Dataset
-from mixtrees.node_model import NodeData, leaf_posterior, log_marginal_likelihood
+from mixtrees.node_model import (
+    NodeData,
+    leaf_posterior,
+    log_marginal_likelihood,
+    sample_sigma2,
+)
 from mixtrees.sampler import (
     Chain,
     MixedSummary,
@@ -232,6 +237,44 @@ class TestMhBookkeeping:
         assert not any(accepted)
         assert chain.trees[0].n_leaves() == 1
 
+    @pytest.mark.parametrize("mh", [np.inf, 0.0])
+    def test_kept_sweep_copies_accepted_trees_only(self, mh, monkeypatch):
+        # A birth or death builds its tree only when accepted: a kept sweep
+        # whose MH uniform rejects everything (inf) copies no tree, and one
+        # that accepts everything (0.0, whose log is -inf) copies one tree
+        # per accepted move.
+        data, ps = make_problem_2d()
+        rng = ScriptedRng(5, [1e-300])
+        chain = Chain(data.inputs, data.outputs, ps, SamplerConfig(m=4, seed=5), rng=rng)
+        chain.gibbs_sweep(structure=False, hold_sigma2=True)
+        for _ in range(3):  # accepted births grow every tree
+            chain.gibbs_sweep(hold_sigma2=True)
+        kinds = itertools.cycle([0.25, 0.75])  # birth, death, birth, ...
+        try_accept, copy_tree = Chain._try_accept, Tree.copy
+        decided, copies = [], []
+
+        def scripted(self, j, prop, resid, log_kind):
+            rng.script = itertools.repeat(mh)
+            accepted = try_accept(self, j, prop, resid, log_kind)
+            rng.script = kinds
+            if prop.valid:
+                decided.append((prop.kind, accepted))
+            return accepted
+
+        def counted(self):
+            copies.append(self)
+            return copy_tree(self)
+
+        monkeypatch.setattr(Chain, "_try_accept", scripted)
+        monkeypatch.setattr(Tree, "copy", counted)
+        rng.script = kinds
+        for _ in range(3):
+            chain.gibbs_sweep(hold_sigma2=True)
+        assert {kind for kind, _ in decided} == {"birth", "death"}
+        n_accepted = sum(accepted for _, accepted in decided)
+        assert n_accepted == (0 if mh == np.inf else len(decided))
+        assert len(copies) == n_accepted
+
 
 class ScriptedRng:
     """A Generator whose ``random()`` replays a script, cycling.
@@ -364,10 +407,10 @@ class TestLeafCaches:
     @pytest.mark.parametrize("kind", [0.25, 0.75])
     @pytest.mark.parametrize("mh", [1e-300, np.inf])
     def test_warmup_tree_update_factors_each_row_set_once(self, kind, mh, monkeypatch):
-        # A warmup sweep of one tree runs birth or death, a redraw, a
-        # relocation and a second redraw.  The other trees and sigma2 stay
-        # fixed throughout, so the four steps share one residual vector and
-        # factor each distinct row set once.
+        # A warmup sweep of one tree runs birth or death, a relocation and
+        # a redraw.  The other trees and sigma2 stay fixed throughout, so
+        # the three steps share one residual vector and factor each
+        # distinct row set once.
         data, ps = make_problem_2d()
         rng = ScriptedRng(5, [1e-300])
         chain = Chain(data.inputs, data.outputs, ps, SamplerConfig(m=1, seed=5), rng=rng)
@@ -541,6 +584,37 @@ class TestGibbsSweep:
         draws = fit_bmm(data, ps, cfg)
         post_sd = np.sqrt(draws.sigma2_trace.mean())
         assert 0.5 * noise < post_sd < 2.0 * noise
+
+    def test_warmup_skipped_redraw_keeps_every_byte(self):
+        # Warmup draws the normals of the leaf redraw between birth/death
+        # and relocation and discards them.  An oracle that runs that
+        # redraw in full, as each tree update's own redraw does, must leave
+        # the same trees, leaf values, fits and sigma2, bit for bit.
+        data, ps = make_problem_2d()
+        cfg = SamplerConfig(m=5, seed=21, min_leaf_n=2)
+        chain = Chain(data.inputs, data.outputs, ps, cfg)
+        oracle = Chain(data.inputs, data.outputs, ps, cfg)
+
+        def oracle_warmup_sweep(hold_sigma2):
+            for j in range(cfg.m):
+                resid = oracle.tree_residuals(j)
+                oracle.mh_tree_update(j, resid)  # birth or death, full redraw
+                oracle.mh_rule_change(j, resid)
+            if not hold_sigma2:
+                oracle.sigma2 = sample_sigma2(
+                    oracle.total_sse, oracle.n, oracle.noise, oracle.rng
+                )
+
+        chain.gibbs_sweep(structure=False, warmup=True, hold_sigma2=True)
+        oracle.gibbs_sweep(structure=False, warmup=True, hold_sigma2=True)
+        for sweep in range(12):
+            chain.gibbs_sweep(warmup=True, hold_sigma2=sweep < 6)
+            oracle_warmup_sweep(hold_sigma2=sweep < 6)
+            assert [t.encode() for t in chain.trees] == [t.encode() for t in oracle.trees]
+            np.testing.assert_array_equal(chain.fits, oracle.fits)
+            assert chain.sigma2 == oracle.sigma2
+        assert chain.n_accepted == oracle.n_accepted > 0
+        assert max(len(t.leaf_nodes()) for t in chain.trees) > 1
 
 
 class TestInformativePrior:
@@ -790,6 +864,36 @@ class TestDrawTable:
         assert len(draws.skeletons) == len(structures) < cfg.n_keep * cfg.m
         assert trees_alive() - before == len(structures)
 
+    def test_append_reuses_ids_of_unchanged_trees(self, monkeypatch):
+        # append keeps the structure id of a tree object that held the same
+        # position at the last append.  Over a real chain's kept draws the
+        # table must equal one that interns a fresh key for every tree.
+        data, ps = make_problem_2d()
+        cfg = SamplerConfig(m=5, n_burn=20, n_keep=60, seed=21, min_leaf_n=2)
+        fresh = PosteriorDraws()
+
+        def record(sweep, chain):
+            if sweep >= cfg.n_burn:  # new objects: every tree is interned
+                fresh.append(chain.sigma2, [t.copy() for t in chain.trees])
+
+        keys, structure_key = [], sampler_module._structure_key
+
+        def counted_key(tree):
+            keys.append(tree)
+            return structure_key(tree)
+
+        monkeypatch.setattr(sampler_module, "_structure_key", counted_key)
+        draws = fit_bmm(data, ps, cfg, callback=record)
+        np.testing.assert_array_equal(draws.ids, fresh.ids)
+        np.testing.assert_array_equal(draws.offsets, fresh.offsets)
+        np.testing.assert_array_equal(draws.values, fresh.values)
+        assert encoded(draws) == encoded(fresh)
+        # fresh builds m keys per draw; the chain's draws build m for the
+        # first and one per tree an accepted move replaced after that.
+        n_chain_keys = len(keys) - cfg.n_keep * cfg.m
+        assert (np.diff(draws.ids, axis=0) != 0).any()
+        assert cfg.m <= n_chain_keys < cfg.n_keep * cfg.m
+
 
 class TestDrawArchive:
     def test_round_trip_and_reprediction(self, tmp_path):
@@ -848,14 +952,21 @@ class TestDrawArchive:
             "tree L 2 nan 0.5",
             "tree L 2 inf 0.5",
             "tree I 0 nan L 2 1 1 L 2 0 0",
+            "tree L 1 0.5",
+            "tree L 0",
+            "tree L 3 0.5 0.5 0.5",
+            "tree I 0 0.5 L 2 1 1 L 1 0",
+            "# n_models = two",
+            "# n_models = 0",
         ],
     )
     def test_malformed_archive_rejected(self, tmp_path, bad):
         # A tree line before any draw line, a draw line without one finite,
-        # positive sigma2, a tree line that does not parse or holds a
-        # non-finite cut or leaf, and an unknown line each raise ValueError
+        # positive sigma2, a tree line that does not parse, holds a
+        # non-finite cut or leaf or a leaf of other than n_models values, a
+        # bad n_models header and an unknown line each raise ValueError
         # naming the line.
-        good = "draw 0 sigma2 0.25\ntree L 2 0.5 0.5\n"
+        good = "# n_models = 2\ndraw 0 sigma2 0.25\ntree L 2 0.5 0.5\n"
         path = tmp_path / "draws.txt"
         if bad == "tree L 2 0.5 0.5":  # valid, but before any draw line
             path.write_text("# m = 1\n" + bad + "\n" + good)
@@ -864,6 +975,35 @@ class TestDrawArchive:
         with pytest.raises(ValueError, match="bad archive line") as err:
             load_draws(path)
         assert repr(bad) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "trees, error",
+        [
+            (["L 1 0.5"], "leaf vectors of 1 values, expected 2"),
+            (["L 0"], "leaf vectors of 0 values, expected 2"),
+            (["L 3 0.5 0.5 0.5"], "leaf vectors of 3 values, expected 2"),
+            (["L 2 0.5 0.5", "L 1 0.5"], "draw 0: leaf vectors of different lengths"),
+            (["L 2 0.5 0.5", None, "L 1 0.5"], "draw 1: leaf vectors of different lengths"),
+            ([], "draw 0: a draw without trees"),
+            (["L 2 0.5 0.5", None], "draw 1: a draw without trees"),
+            (["L 2 0.5 0.5", None, "L 2 1 1", "L 2 1 1"], "draw 1: a draw of 2 trees, expected 1"),
+        ],
+    )
+    def test_reprediction_checks_draw_shapes(self, tmp_path, trees, error):
+        # Without an n_models header a leaf of the wrong length loads, and
+        # re-prediction against two models rejects it instead of
+        # broadcasting one weight over both.  Draws must also hold the same
+        # number of trees, or the first draw's would be broadcast over the
+        # next's.  None starts a new draw.
+        lines = ["draw 0 sigma2 0.5"]
+        for tree in trees:
+            lines.append("draw 1 sigma2 0.5" if tree is None else f"tree {tree}")
+        path = tmp_path / "draws.txt"
+        path.write_text("\n".join(lines) + "\n")
+        ensembles = load_draws(path)
+        grid, grid_means = np.array([0.5]), np.ones((1, 2))
+        with pytest.raises(ValueError, match=error):
+            predict_from_archive(ensembles, grid, grid_means)
 
     def test_archive_supports_new_grid(self, tmp_path):
         data, ps = make_problem()

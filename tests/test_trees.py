@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mixtrees.node_model import LeafPrior, NodeData, log_marginal_likelihood
 from mixtrees.trees import (
     CutpointGrid,
     Tree,
+    _birth_prior_terms,
     _draw_rule,
     log_tree_prior,
     propose_birth,
@@ -112,6 +114,13 @@ class TestLogTreePrior:
         )
         assert log_tree_prior(tree) == pytest.approx(expect, rel=1e-12)
 
+    def test_rule_without_valid_cut_is_impossible(self):
+        # Under x < 0.25 no cut of {0.25, 0.5, 0.75} is left, so the prior
+        # never makes the rule x < 0.1 there.
+        grid = CutpointGrid([np.array([0.25, 0.5, 0.75])])
+        tree = Tree.decode("I 0 0.5 I 0 0.25 I 0 0.1 L 1 0 L 1 0 L 1 0 L 1 0", grid)
+        assert log_tree_prior(tree) == -np.inf
+
     def test_prior_equals_birth_path_probability(self, grid1d):
         # Growing the single-split tree from the root: log prior difference
         # equals the birth move's prior ratio bookkeeping.
@@ -192,6 +201,73 @@ class TestProposals:
         assert death.tree.n_leaves() == 1
         # membership restored
         assert np.array_equal(death.new_leaf_sets[0], np.arange(50))
+
+
+class TestLazyProposals:
+    """A birth or death counts its reverse move on the current tree and
+    builds the proposed tree only when ``tree`` is read; the counts must be
+    exactly those of the built tree."""
+
+    @staticmethod
+    def first_difference(a, b):
+        """The first node index where the two trees' ``var`` lists differ."""
+        return next(i for i, (u, v) in enumerate(zip(a.var, b.var)) if u != v)
+
+    def test_reverse_terms_match_built_tree(self):
+        rng = np.random.default_rng(17)
+        X = rng.uniform(size=(30, 2))
+        seen = set()
+        for n_cuts in (2, 3, 6):
+            grid = CutpointGrid.from_data(X, n_cuts)
+            for _ in range(150):
+                tree = sample_tree_from_prior(grid, rng)
+                nogs = tree.nog_nodes()
+                birth = propose_birth(tree, X, 1, rng)
+                if birth.valid:
+                    new = birth.tree
+                    leaf = self.first_difference(tree, new)
+                    seen.add(("parent is a nog", leaf - 1 in nogs or leaf - 2 in nogs))
+                    assert birth.log_reverse == -math.log(len(new.nog_nodes()))
+                death = propose_death(tree, X, rng)
+                if death.valid:
+                    new = death.tree
+                    node = self.first_difference(tree, new)
+                    growable = tree.growable_leaves()
+                    seen.add(("a child grows", node + 1 in growable or node + 2 in growable))
+                    n_vars = len(new.usable_vars(node))
+                    n_cuts_node = new.n_cuts(node, tree.var[node])
+                    assert death.log_reverse == -(
+                        math.log(len(new.growable_leaves()))
+                        + math.log(n_vars)
+                        + math.log(n_cuts_node)
+                    )
+                    assert death.log_prior_ratio == -_birth_prior_terms(
+                        new.depths[node], n_vars, n_cuts_node
+                    )
+        assert seen == {
+            ("parent is a nog", True), ("parent is a nog", False),
+            ("a child grows", True), ("a child grows", False),
+        }
+
+    def test_tree_built_once_on_first_read(self, grid1d, monkeypatch):
+        X = np.linspace(0.0, 1.0, 50)[:, None]
+        base = Tree.root_only(grid1d, np.array([0.0]))
+        copies = []
+        copy_tree = Tree.copy
+
+        def counted(self):
+            copies.append(self)
+            return copy_tree(self)
+
+        monkeypatch.setattr(Tree, "copy", counted)
+        rng = np.random.default_rng(1)
+        birth = propose_birth(base, X, 1, rng)
+        assert birth.valid and copies == []
+        grown = birth.tree
+        assert birth.tree is grown and copies == [base]
+        death = propose_death(grown, X, rng)
+        assert death.valid and copies == [base]
+        assert death.tree.n_leaves() == 1 and copies == [base, grown]
 
 
 class TestPriorSampling:
