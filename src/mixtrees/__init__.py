@@ -14,8 +14,6 @@ from .eft import (
     EftGp,
     EftPrediction,
     Expansion,
-    evaluate_expansion,
-    evaluate_expansion_batch,
     expansion_runs,
     extract_coefficients,
     fit_eft,

@@ -171,24 +171,28 @@ class ExperimentConfig:
     # ---- models ----------------------------------------------------------
 
     def build_model(self, section: str):
-        """Returns (name, expansion, q_map, yref_map, use_gp, design_inputs)."""
+        """Returns (name, simulator, input dimension, truncation), where
+        truncation is None or the (q_map, yref_map, design inputs) of the
+        tail GP of a series."""
         with _settings(f"[{section}]"):
             sec = self.parser[section]
             name = section.split(".", 1)[1]
             kind = sec.get("kind")
             if kind in ("weak", "strong"):
+                dim = 1
                 order = self._get(section, "order", int)
                 scale_name = sec.get("scale", "one")
                 if scale_name not in eft.YREF_MAPS:
                     raise ConfigError(f"unknown scale {scale_name!r} in [{section}]")
                 scale = None if scale_name == "one" else eft.YREF_MAPS[scale_name]
-                exp = (
+                sim = (
                     eft.weak_expansion(order, scale=scale)
                     if kind == "weak"
                     else eft.strong_expansion(order, scale=scale)
                 )
             elif kind == "taylor_surface":
-                exp = eft.taylor_surface_simulator(
+                dim = 2
+                sim = eft.taylor_surface_simulator(
                     _parse_center(sec.get("sin_center", "0")),
                     self._get(section, "sin_order", int),
                     _parse_center(sec.get("cos_center", "0")),
@@ -197,44 +201,60 @@ class ExperimentConfig:
             else:
                 raise ConfigError(f"unknown model kind {kind!r} in [{section}]")
 
-            use_gp = sec.get("truncation", "gp" if kind != "taylor_surface" else "none")
-            if use_gp not in ("gp", "none"):
+            truncation = sec.get("truncation", "gp" if dim == 1 else "none")
+            if truncation not in ("gp", "none"):
                 raise ConfigError(f"truncation must be 'gp' or 'none' in [{section}]")
-            q_map = yref_map = None
-            design = None
-            if use_gp == "gp":
-                q_name = sec.get("q_map", "x")
-                y_name = sec.get("yref_map", "one")
-                if q_name not in eft.Q_MAPS:
-                    raise ConfigError(f"unknown q_map {q_name!r} in [{section}]")
-                if y_name not in eft.YREF_MAPS:
-                    raise ConfigError(f"unknown yref_map {y_name!r} in [{section}]")
-                q_map, yref_map = eft.Q_MAPS[q_name], eft.YREF_MAPS[y_name]
-                design = ds.linspace_grid(
-                    self._get(section, "design_lo", float),
-                    self._get(section, "design_hi", float),
-                    self._get(section, "n_design", int),
+            if truncation == "none":
+                return name, sim, dim, None
+            if dim != 1:
+                raise ConfigError(
+                    f"truncation = gp needs a weak or strong series in [{section}]"
                 )
-            return name, exp, q_map, yref_map, use_gp == "gp", design
+            q_name = sec.get("q_map", "x")
+            y_name = sec.get("yref_map", "one")
+            if q_name not in eft.Q_MAPS:
+                raise ConfigError(f"unknown q_map {q_name!r} in [{section}]")
+            if y_name not in eft.YREF_MAPS:
+                raise ConfigError(f"unknown yref_map {y_name!r} in [{section}]")
+            design = ds.linspace_grid(
+                self._get(section, "design_lo", float),
+                self._get(section, "design_hi", float),
+                self._get(section, "n_design", int),
+            )
+            return name, sim, dim, (eft.Q_MAPS[q_name], eft.YREF_MAPS[y_name], design)
 
     def model_predictions(self, data: ds.Dataset, grid: np.ndarray):
-        """Per-model predictions at training points and on the grid."""
+        """Per-model predictions at training points and on the grid.
+
+        Every model is built, and its input dimension checked against the
+        dataset's, before any is evaluated; a non-finite prediction raises
+        ValueError naming the model's section.
+        """
         if not self.model_sections:
             raise ConfigError("no [model.*] sections found")
+        models = [self.build_model(section) for section in self.model_sections]
+        for section, (_, _, dim, _) in zip(self.model_sections, models):
+            if dim != data.dim:
+                raise ConfigError(
+                    f"[{section}] takes {dim}-d input, the dataset is {data.dim}-d"
+                )
         names, train_mean, train_var, grid_mean, grid_var, capped = [], [], [], [], [], []
         train_x = data.inputs[:, 0] if data.dim == 1 else data.inputs
         grid_x = grid[:, 0] if data.dim == 1 else grid
-        for section in self.model_sections:
-            name, exp, q_map, yref_map, use_gp, design = self.build_model(section)
-            if use_gp:
-                if data.dim != 1:
-                    raise ConfigError("truncation GP models support 1-d inputs only")
-                gp = eft.fit_eft(exp, design, q_map, yref_map)
-                p_train = eft.predict_eft(gp, exp, train_x)
-                p_grid = eft.predict_eft(gp, exp, grid_x)
+        for section, (name, sim, _, truncation) in zip(self.model_sections, models):
+            if truncation is None:
+                p_train = eft.predict_exact(sim, train_x)
+                p_grid = eft.predict_exact(sim, grid_x)
             else:
-                p_train = eft.predict_exact(exp, train_x)
-                p_grid = eft.predict_exact(exp, grid_x)
+                q_map, yref_map, design = truncation
+                gp = eft.fit_eft(sim, design, q_map, yref_map)
+                p_train = eft.predict_eft(gp, sim, train_x)
+                p_grid = eft.predict_eft(gp, sim, grid_x)
+            if not all(
+                np.isfinite(p.mean).all() and np.isfinite(p.variance).all()
+                for p in (p_train, p_grid)
+            ):
+                raise ValueError(f"non-finite prediction from [{section}]")
             names.append(name)
             train_mean.append(p_train.mean)
             train_var.append(p_train.variance)
@@ -253,16 +273,14 @@ class ExperimentConfig:
     def prediction_set(
         self, data: ds.Dataset, grid: np.ndarray, scfg: sampler.SamplerConfig
     ):
-        """Model names and the sampler's ``PredictionSet``, carrying the
-        training-point variances when ``scfg`` uses the informative prior."""
+        """Model names, the sampler's ``PredictionSet`` (carrying the
+        training-point variances when ``scfg`` uses the informative prior)
+        and the models' (len(grid), K) means on the grid."""
         names, train_mean, train_var, grid_mean, _, _ = self.model_predictions(data, grid)
         ps = sampler.PredictionSet(
-            means=train_mean,
-            variances=train_var if scfg.informative else None,
-            grid=grid,
-            grid_means=grid_mean,
+            means=train_mean, variances=train_var if scfg.informative else None
         )
-        return names, ps
+        return names, ps, grid_mean
 
     # ---- sampler ----------------------------------------------------------
 
@@ -377,9 +395,9 @@ def cmd_mix(cfg: ExperimentConfig, out_dir: Path, seed_override=None, chains=Non
     chains = cfg.n_chains(chains)
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
-    names, ps = cfg.prediction_set(data, grid, scfg)
+    names, ps, grid_means = cfg.prediction_set(data, grid, scfg)
     draws = sampler.fit_chains(data, ps, scfg, chains)
-    summary = sampler.predict_mixed(draws, ps.grid, ps.grid_means)
+    summary = sampler.predict_mixed(draws, grid, grid_means)
 
     meta = {
         "config_hash": cfg.config_hash,

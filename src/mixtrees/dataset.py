@@ -139,13 +139,19 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, header: list[str], columns: list, meta: dict) -> None:
-    """Write ``meta`` as comment lines, then ``header`` and the columns' rows."""
+    """Write ``meta`` as comment lines, then ``header`` and the columns' rows.
+
+    A header and columns that differ in count, or columns that differ in
+    length, raise ValueError before the file is opened.
+    """
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} column names for {len(columns)} columns")
+    rows = [",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns, strict=True)]
     with open(path, "w") as fh:
         for key, val in meta.items():
             fh.write(f"# {key} = {val}\n")
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(rows)
 
 
 def read_csv(path, need=()):

@@ -23,6 +23,14 @@ import numpy as np
 # variance instead.
 Q_MAX = 0.995
 
+# Coefficient-GP fit: the scaled-inverse-chi-squared prior on cbar2 (NU0
+# degrees of freedom, scale LAMBDA0), the number of correlation lengths
+# tried, and the diagonal jitter of the correlation matrix.
+NU0 = 5.0
+LAMBDA0 = 1.0
+N_ELL = 50
+NUGGET = 1e-8
+
 
 def weak_coefficients(n_s: int) -> np.ndarray:
     """Series coefficients of the small-coupling expansion, orders 0..n_s.
@@ -58,35 +66,38 @@ def strong_coefficients(n_l: int) -> np.ndarray:
 
 @dataclass
 class Expansion:
-    """A finite-order simulator.
+    """A finite-order series simulator of one scalar input.
 
-    ``weak`` sums coefficients[t] * x^t, ``strong`` sums
-    coefficients[t] * x^(-t), and ``custom`` delegates to ``evaluator``
-    (a callable on a d-dimensional point).  ``scale``, when set, multiplies
-    the series value; the large-coupling simulator of the quartic system
-    needs scale(x) = x^(-1/2) to approximate the integral it truncates.
+    ``weak`` sums coefficients[t] * x^t and ``strong`` sums
+    coefficients[t] * x^(-t).  ``scale``, when set, multiplies the series
+    value; the large-coupling simulator of the quartic system needs
+    scale(x) = x^(-1/2) to approximate the integral it truncates.
     """
 
     kind: str
     order: int
-    coefficients: Optional[np.ndarray] = None
-    evaluator: Optional[Callable] = None
+    coefficients: np.ndarray
     scale: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.kind not in ("weak", "strong", "custom"):
+        if self.kind not in ("weak", "strong"):
             raise ValueError(f"unknown expansion kind {self.kind!r}")
-        if self.kind == "custom":
-            if self.evaluator is None:
-                raise ValueError("custom expansion requires an evaluator")
-        else:
-            self.coefficients = np.asarray(self.coefficients, dtype=float)
-            if self.coefficients.shape != (self.order + 1,):
-                raise ValueError("coefficients must have length order + 1")
-            if not np.all(np.isfinite(self.coefficients)):
-                raise ValueError("non-finite coefficient")
-            if self.kind == "weak" and np.any(self.coefficients[1::2] != 0.0):
-                raise ValueError("weak expansion must have zero odd coefficients")
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
+        if self.coefficients.shape != (self.order + 1,):
+            raise ValueError("coefficients must have length order + 1")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError("non-finite coefficient")
+        if self.kind == "weak" and np.any(self.coefficients[1::2] != 0.0):
+            raise ValueError("weak expansion must have zero odd coefficients")
+
+    def __call__(self, x) -> float:
+        """Value of the simulator at one input: a scalar, or an array of one
+        value."""
+        x = float(np.asarray(x).reshape(()))
+        val = float(self.coefficients @ _series_powers(self, x))
+        if self.scale is not None:
+            val *= float(self.scale(x))
+        return val
 
 
 def weak_expansion(order: int, scale: Optional[Callable] = None) -> Expansion:
@@ -95,10 +106,6 @@ def weak_expansion(order: int, scale: Optional[Callable] = None) -> Expansion:
 
 def strong_expansion(order: int, scale: Optional[Callable] = None) -> Expansion:
     return Expansion("strong", order, strong_coefficients(order), scale=scale)
-
-
-def custom_expansion(evaluator: Callable, order: int = 0) -> Expansion:
-    return Expansion("custom", order, evaluator=evaluator)
 
 
 def _series_powers(e: Expansion, x: float) -> np.ndarray:
@@ -110,35 +117,12 @@ def _series_powers(e: Expansion, x: float) -> np.ndarray:
     return np.asarray(x, dtype=float) ** (-t)
 
 
-def evaluate_expansion(e: Expansion, x) -> float:
-    """Value of the simulator at one input (scalar, or point for custom)."""
-    if e.kind == "custom":
-        return float(e.evaluator(np.atleast_1d(np.asarray(x, dtype=float))))
-    x = float(np.asarray(x).reshape(()))
-    val = float(e.coefficients @ _series_powers(e, x))
-    if e.scale is not None:
-        val *= float(e.scale(x))
-    return val
-
-
-def evaluate_expansion_batch(e: Expansion, xs) -> np.ndarray:
-    """Vectorized :func:`evaluate_expansion` over a grid of inputs."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if e.kind == "custom":
-        pts = xs if xs.ndim > 1 else xs[:, None]
-        return np.array([float(e.evaluator(p)) for p in pts])
-    return np.array([evaluate_expansion(e, x) for x in xs.ravel()])
-
-
 def expansion_runs(e: Expansion, xs) -> np.ndarray:
     """Evaluations of every sub-order simulator h^(0)..h^(N) at each input.
 
     Returns an (n, N+1) matrix; column k is the order-k partial sum (times
-    the scale factor when present).  Custom expansions have no sub-order
-    structure and are rejected.
+    the scale factor when present).
     """
-    if e.kind == "custom":
-        raise ValueError("custom expansions expose no sub-order runs")
     xs = np.atleast_1d(np.asarray(xs, dtype=float)).ravel()
     runs = np.empty((xs.size, e.order + 1))
     for i, x in enumerate(xs):
@@ -176,15 +160,13 @@ class EftGp:
     The coefficient GP has mean zero, so the tail adds no mean.  ``cbar2``
     is the coefficient variance, ``ell`` the squared-exponential correlation
     length.  ``q_map``/``yref_map`` give the expansion parameter and scale
-    at any input; the design inputs and extracted coefficient matrix are
-    kept for reference.
+    at any input; the extracted coefficient matrix is kept for reference.
     """
 
     cbar2: float
     ell: float
     q_map: Callable[[float], float]
     yref_map: Callable[[float], float]
-    design_inputs: np.ndarray
     design_coefficients: np.ndarray
 
     def __post_init__(self):
@@ -192,24 +174,17 @@ class EftGp:
             raise ValueError("cbar2 and ell must be positive")
 
 
-def _clip_q(q: float) -> tuple[float, bool]:
-    if abs(q) > Q_MAX:
-        return float(np.sign(q)) * Q_MAX, True
-    return q, False
+def _clip_q(q: float) -> float:
+    return float(np.sign(q)) * Q_MAX if abs(q) > Q_MAX else q
 
 
 def truncation_cov(gp: EftGp, order: int, x, xp) -> float:
     """Tail covariance cbar2 * yref(x) yref(x') (QQ')^(N+1) / (1 - QQ')."""
-    q1, _ = _clip_q(float(gp.q_map(x)))
-    q2, _ = _clip_q(float(gp.q_map(xp)))
+    q1 = _clip_q(float(gp.q_map(x)))
+    q2 = _clip_q(float(gp.q_map(xp)))
     qq = q1 * q2
     num = qq ** (order + 1)
     return gp.cbar2 * float(gp.yref_map(x)) * float(gp.yref_map(xp)) * num / (1.0 - qq)
-
-
-def truncation_capped(gp: EftGp, x) -> bool:
-    """Whether the expansion parameter at ``x`` exceeded the cap."""
-    return _clip_q(float(gp.q_map(x)))[1]
 
 
 def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -221,19 +196,14 @@ def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def fit_coefficient_gp(
-    coeffs: np.ndarray,
-    design_inputs: np.ndarray,
-    nu0: float = 5.0,
-    lambda0: float = 1.0,
-    n_ell: int = 50,
-    nugget: float = 1e-8,
+    coeffs: np.ndarray, design_inputs: np.ndarray
 ) -> tuple[float, float]:
     """Estimate (cbar2, ell) from an (n_c, N+1) coefficient matrix.
 
     Each coefficient column is treated as a zero-mean draw from
     GP(0, cbar2 * exp(-(x-x')^2 / (2 ell^2))).  ``ell`` maximizes the
     marginal likelihood (cbar2 integrated against its conjugate
-    scaled-inverse-chi-squared prior) on a log grid spanning
+    scaled-inverse-chi-squared prior) on a log grid of N_ELL points spanning
     [0.01, 10] times the design width; ``cbar2`` is then the conjugate
     posterior mean at the selected ``ell``.  The quadratic form
     sum(C * R^-1 C) is the squared norm of L^-1 C, where R = L L^T.
@@ -255,20 +225,20 @@ def fit_coefficient_gp(
     width = np.sqrt(d2.max())
     n_curves = C.shape[1]
     m_total = C.size
-    nu_post = nu0 + m_total
+    nu_post = NU0 + m_total
 
     best = (-np.inf, None, None)
-    for ell in np.geomspace(0.01 * width, 10.0 * width, n_ell):
-        R = np.exp(-0.5 * d2 / ell ** 2) + nugget * np.eye(n_c)
+    for ell in np.geomspace(0.01 * width, 10.0 * width, N_ELL):
+        R = np.exp(-0.5 * d2 / ell ** 2) + NUGGET * np.eye(n_c)
         L = np.linalg.cholesky(R)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         Z = _forward_solve(L, C)
         quad_sum = float(np.sum(Z * Z))
-        score = -0.5 * n_curves * logdet - 0.5 * nu_post * np.log(nu0 * lambda0 + quad_sum)
+        score = -0.5 * n_curves * logdet - 0.5 * nu_post * np.log(NU0 * LAMBDA0 + quad_sum)
         if score > best[0]:
             best = (score, ell, quad_sum)
     _, ell_hat, quad_sum = best
-    lambda_post = (nu0 * lambda0 + quad_sum) / nu_post
+    lambda_post = (NU0 * LAMBDA0 + quad_sum) / nu_post
     cbar2 = nu_post * lambda_post / (nu_post - 2.0)
     return float(cbar2), float(ell_hat)
 
@@ -295,12 +265,7 @@ def fit_eft(
     )
     cbar2, ell = fit_coefficient_gp(C, xs)
     return EftGp(
-        cbar2=cbar2,
-        ell=ell,
-        q_map=q_map,
-        yref_map=yref_map,
-        design_inputs=xs,
-        design_coefficients=C,
+        cbar2=cbar2, ell=ell, q_map=q_map, yref_map=yref_map, design_coefficients=C
     )
 
 
@@ -308,12 +273,11 @@ def fit_eft(
 class EftPrediction:
     """Pointwise prediction of one simulator over a grid.
 
-    ``mean`` is the series value (the tail has mean zero), ``variance`` the
-    tail variance, and ``capped`` flags grid points where the expansion
+    ``mean`` is the simulator's value (the tail has mean zero), ``variance``
+    the tail variance, and ``capped`` flags grid points where the expansion
     parameter was clipped to Q_MAX.
     """
 
-    grid: np.ndarray
     mean: np.ndarray
     variance: np.ndarray
     capped: np.ndarray
@@ -324,22 +288,23 @@ class EftPrediction:
 
 
 def predict_eft(gp: EftGp, e: Expansion, grid) -> EftPrediction:
-    """Posterior mean/variance of the simulator prediction over a grid."""
-    xs = np.atleast_1d(np.asarray(grid, dtype=float)).ravel()
-    if xs.size == 0:
-        raise ValueError("grid must be nonempty")
-    mean = np.array([evaluate_expansion(e, x) for x in xs])
+    """Posterior mean/variance of the series at each scalar of ``grid``."""
+    xs = np.atleast_1d(np.asarray(grid, dtype=float))
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("grid must be a nonempty 1-d array of inputs")
+    mean = np.array([e(x) for x in xs])
     var = np.array([truncation_cov(gp, e.order, x, x) for x in xs])
-    capped = np.array([truncation_capped(gp, x) for x in xs])
-    return EftPrediction(grid=xs, mean=mean, variance=var, capped=capped)
+    capped = np.array([abs(float(gp.q_map(x))) > Q_MAX for x in xs])
+    return EftPrediction(mean=mean, variance=var, capped=capped)
 
 
-def predict_exact(e: Expansion, grid) -> EftPrediction:
-    """Prediction for a simulator with no tail model: exact mean, zero variance."""
+def predict_exact(simulator: Callable, grid) -> EftPrediction:
+    """Prediction for a simulator with no tail model: exact mean, zero
+    variance.  ``simulator`` is called on each element of ``grid``: a scalar
+    of a 1-d grid, or a row of an (n, d) grid."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    mean = evaluate_expansion_batch(e, grid)
+    mean = np.array([simulator(x) for x in grid], dtype=float)
     return EftPrediction(
-        grid=grid,
         mean=mean,
         variance=np.zeros(mean.shape),
         capped=np.zeros(mean.shape, dtype=bool),
@@ -362,22 +327,22 @@ def taylor_cos(x: float, center: float, order: int) -> float:
 
 def taylor_surface_simulator(
     sin_center: float, sin_order: int, cos_center: float, cos_order: int
-) -> Expansion:
-    """2-d simulator: Taylor sum for sin(x1) plus Taylor sum for cos(x2).
+) -> Callable:
+    """2-d simulator: Taylor sum for sin(x1) plus Taylor sum for cos(x2),
+    a function of one point (x1, x2).
 
     Used for the multi-dimensional mixing example; accurate near its
     expansion centers and divergent far from them.  No tail model is
     postulated, so predictions carry zero variance.
     """
 
-    def evaluator(point):
-        x1, x2 = float(point[0]), float(point[1])
+    def simulator(point) -> float:
+        x1, x2 = point
         return taylor_sin(x1, sin_center, sin_order) + taylor_cos(
             x2, cos_center, cos_order
         )
 
-    order = max(sin_order, cos_order)
-    return custom_expansion(evaluator, order=order)
+    return simulator
 
 
 # Named input maps usable from experiment config files.

@@ -52,33 +52,22 @@ META_KEYS = ("m", "k", "informative", "nu", "n_burn", "n_keep", "thin", "seed")
 
 @dataclass
 class PredictionSet:
-    """Per-model predictions at the training points and on a prediction grid.
+    """Per-model predictions at the training points.
 
     ``means`` is (n, K); ``variances`` is only needed for the informative
-    leaf prior.  ``grid``/``grid_means`` define where the kept draws' mixed
-    predictions and weight functions are summarised.
+    leaf prior.
     """
 
     means: np.ndarray
-    grid: np.ndarray
-    grid_means: np.ndarray
     variances: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        self.grid_means = np.atleast_2d(np.asarray(self.grid_means, dtype=float))
-        self.grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
-        if self.grid.ndim == 1:
-            self.grid = self.grid[:, None]
         if self.variances is not None:
             self.variances = np.atleast_2d(np.asarray(self.variances, dtype=float))
             if self.variances.shape != self.means.shape:
                 raise ValueError("variances must match means shape")
-        if self.grid_means.shape[0] != self.grid.shape[0]:
-            raise ValueError("grid_means rows must match grid")
-        if self.grid_means.shape[1] != self.means.shape[1]:
-            raise ValueError("grid_means columns must match number of models")
-        if not (np.isfinite(self.means).all() and np.isfinite(self.grid_means).all()):
+        if not np.isfinite(self.means).all():
             raise ValueError("non-finite predictions")
 
 
@@ -608,13 +597,27 @@ class MixedSummary:
 def predict_mixed(draws: PosteriorDraws, grid, grid_means) -> MixedSummary:
     """Posterior mean and central 95% band of the mixed prediction, each
     weight function, and the sum of weights, at the rows of ``grid``, where
-    the models predict ``grid_means`` ((len(grid), K))."""
+    the models predict ``grid_means``.
+
+    ``grid_means`` must be (len(grid), K), K the length of the draws' leaf
+    vectors, and finite, or ValueError is raised.
+    """
     if draws.n_kept < 1:
         raise ValueError("no kept draws")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.ndim == 1:
         grid = grid[:, None]
     grid_means = np.atleast_2d(np.asarray(grid_means, dtype=float))
+    k = draws.values.shape[1]
+    if grid_means.shape[1] != k:
+        raise ValueError(
+            f"leaf vectors of {k} values, expected {grid_means.shape[1]}, "
+            "the columns of grid_means"
+        )
+    if grid_means.shape[0] != len(grid):
+        raise ValueError(f"grid_means has {grid_means.shape[0]} rows, grid {len(grid)}")
+    if not np.isfinite(grid_means).all():
+        raise ValueError("non-finite grid_means")
     weights = draws.weights(grid)
     # Each trace is freed once summarised, and the band of one weight
     # column at a time sorts a copy of that column only.
@@ -706,18 +709,15 @@ def _archive_sigma2(line: str) -> float:
 def predict_from_archive(ensembles, grid, grid_means) -> MixedSummary:
     """Re-predict on a new grid from archived (sigma2, trees) pairs.
 
-    Leaf vectors of different lengths, or of a length other than the number
-    of columns of ``grid_means``, raise ValueError.
+    Draws of uneven tree counts or leaf vectors of different lengths raise
+    ValueError naming the draw; :func:`predict_mixed` checks ``grid_means``.
     """
-    k = np.atleast_2d(np.asarray(grid_means, dtype=float)).shape[1]
     draws = PosteriorDraws()
     for s, (sigma2, trees) in enumerate(ensembles):
         try:
             draws.append(sigma2, trees)
         except ValueError as exc:
             raise ValueError(f"draw {s}: {exc}") from None
-    if draws.n_kept and draws.values.shape[1] != k:
-        raise ValueError(f"leaf vectors of {draws.values.shape[1]} values, expected {k}")
     return predict_mixed(draws, grid, grid_means)
 
 

@@ -54,17 +54,18 @@ def run_example(path: Path):
     data = cfg.build_dataset()
     grid = cfg.eval_grid(data)
     scfg = cfg.sampler_config()
-    names, ps = cfg.prediction_set(data, grid, scfg)
+    names, ps, grid_means = cfg.prediction_set(data, grid, scfg)
     system, _ = cfg.system()
     truth = np.array([system(*row) for row in grid])
     start = time.perf_counter()
     draws = fit_chains(data, ps, scfg, cfg.n_chains())
     elapsed = time.perf_counter() - start
-    summary = predict_mixed(draws, ps.grid, ps.grid_means)
+    summary = predict_mixed(draws, grid, grid_means)
     return {
         "cfg": cfg,
         "data": data,
         "grid": grid,
+        "grid_means": grid_means,
         "truth": truth,
         "names": names,
         "ps": ps,
@@ -155,7 +156,7 @@ class TestCriterion4BmaFailure:
     def test_bma_picks_weak_and_underperforms(self, example1a):
         data = example1a["data"]
         train_mean = example1a["ps"].means
-        grid_mean = example1a["ps"].grid_means
+        grid_mean = example1a["grid_means"]
         truth = example1a["truth"]
         noise = example1a["cfg"].sampler_config().noise_prior(train_mean, data.outputs)
         result = run_bma(data.outputs, train_mean, example1a["grid"], grid_mean, noise)
@@ -246,7 +247,7 @@ class TestCriterion6McmcExactness:
         X = np.array([[0.2], [0.8]])
         y = np.array([0.9, 0.4])
         F = np.array([[1.0, 0.5], [0.6, 1.2]])
-        ps = PredictionSet(means=F, grid=X, grid_means=F)
+        ps = PredictionSet(means=F)
         sigma2 = 0.05
         cfg = SamplerConfig(
             m=1,

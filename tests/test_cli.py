@@ -130,6 +130,13 @@ def src_env():
     return env
 
 
+def digests(run_dir):
+    """SHA-256 of every file in ``run_dir``, by file name."""
+    return {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in run_dir.iterdir()
+    }
+
+
 @pytest.fixture
 def mini_cfg(tmp_path):
     path = tmp_path / "mini.cfg"
@@ -202,6 +209,30 @@ class TestFitEft:
         first = (out / "mini" / "eft_weak2.csv").read_bytes()
         main(["fit-eft", "--config", str(mini_cfg), "--out", str(out)])
         assert (out / "mini" / "eft_weak2.csv").read_bytes() == first
+
+    # SHA-256 of each model's table, recorded like TestMix.GOLDEN.
+    GOLDEN = {
+        "mini": {
+            "eft_weak2.csv": "010b8704363f6c3aa0e50896632b764245560ed7ff5defaf72b3ed352456d9b1",
+            "eft_strong4.csv": "313e6e1b04351e3c4235e59576f04ade5f7ae4c680003d820694dd9c0531ae91",
+        },
+        "mini2d": {
+            "eft_h1.csv": "6250164fa3727e7c654d1979590a6d24713b0cf445599b80596a819571683fdb",
+            "eft_h2.csv": "f26291bfa84fc7f9c52f6d85b8674ecaf20b551f33be290fe2c8af03b0f88542",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "name, text", [("mini", MINI_CONFIG), ("mini2d", MINI_2D)], ids=["mini", "mini2d"]
+    )
+    def test_golden_bytes(self, tmp_path, name, text):
+        # The series, the truncation-GP fit and the Taylor surfaces feed
+        # these tables; a refactor of the model layer must keep every byte.
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "runs"
+        assert main(["fit-eft", "--config", str(cfg), "--out", str(out)]) == 0
+        assert digests(out / name) == self.GOLDEN[name]
 
 
 class TestMix:
@@ -279,9 +310,9 @@ class TestMix:
         cfg = ExperimentConfig(mini_cfg)
         data = cfg.build_dataset()
         grid = cfg.eval_grid(data)
-        names, ps = cfg.prediction_set(data, grid, cfg.sampler_config())
+        names, _, grid_means = cfg.prediction_set(data, grid, cfg.sampler_config())
         summary = predict_from_archive(
-            load_draws(out / "mini" / "draws.txt"), grid, ps.grid_means
+            load_draws(out / "mini" / "draws.txt"), grid, grid_means
         )
         expected = {
             "mean": summary.mean, "lo95": summary.lo, "hi95": summary.hi,
@@ -415,6 +446,16 @@ yref_map = one""",
             _, _, wcols = read_csv(out / "mini" / "bma_weights.csv")
             evidence[match] = wcols["log_evidence"]
         assert np.all(evidence["mode"] != evidence["mean"])
+
+    GOLDEN = {
+        "bma_weights.csv": "0a76ba60e7ab8f459a495aba28cb200bc5797abcd238a68d76f19847d8b53693",
+        "bma_curve.csv": "7cdd29572e148f6d1064ad8f115908cd08cd6111c8079dc7be4b5422f1f285b1",
+    }
+
+    def test_golden_bytes(self, mini_cfg, tmp_path):
+        out = tmp_path / "runs"
+        assert main(["bma", "--config", str(mini_cfg), "--out", str(out)]) == 0
+        assert digests(out / "mini") == self.GOLDEN
 
 
 class TestReport:
@@ -568,6 +609,68 @@ class TestConfigErrors:
         assert main(["bma", "--config", str(cfg), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
         assert not (out / "mini" / "bma_weights.csv").exists()
+
+    TAYLOR = (
+        "[model.h1]\nkind = taylor_surface\nsin_center = pi\nsin_order = 7\n"
+        "cos_center = pi\ncos_order = 10\n"
+    )
+    WEAK = "[model.w2]\nkind = weak\norder = 2\n"
+    GP = "q_map = x\nyref_map = one\nn_design = 4\ndesign_lo = 0.03\ndesign_hi = 0.50\n"
+
+    @pytest.mark.parametrize("command", ["fit-eft", "mix", "bma"])
+    @pytest.mark.parametrize(
+        "config, section",
+        [
+            ("phi4+taylor", "[model.h1]"),
+            ("sincos2d+weak", "[model.w2]"),
+            ("sincos2d+weak_gp", "[model.w2]"),
+            ("sincos2d+taylor_gp", "[model.h1]"),
+        ],
+    )
+    def test_model_of_wrong_dimension(self, tmp_path, capsys, command, config, section):
+        # A series takes a scalar and a Taylor surface a point (x1, x2); a
+        # model of the other dimension, or a tail GP on a surface, is a
+        # config error naming its section, found before any model runs.
+        text = {
+            "phi4+taylor": MINI_CONFIG.replace("[sampler]", self.TAYLOR + "\n[sampler]"),
+            "sincos2d+weak": MINI_2D.replace(
+                "[sampler]", self.WEAK + "truncation = none\n\n[sampler]"
+            ),
+            "sincos2d+weak_gp": MINI_2D.replace(
+                "[sampler]", self.WEAK + self.GP + "\n[sampler]"
+            ),
+            "sincos2d+taylor_gp": MINI_2D.replace(
+                "cos_order = 10\ntruncation = none",
+                "cos_order = 10\ntruncation = gp\n" + self.GP,
+            ),
+        }[config]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "runs"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and section in err
+        assert list(out.glob("*/*.csv")) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["fit-eft", "mix", "bma"])
+    def test_non_finite_model_prediction_exits_3(self, tmp_path, capsys, command):
+        # The order-4 small-coupling series overflows at x = 1e80: the run
+        # stops there, naming the model, instead of writing inf means or
+        # failing later without naming it.
+        data_file = tmp_path / "far.csv"
+        data_file.write_text("x1,y\n0.1,2.4\n0.3,2.0\n1e80,0.1\n")
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(
+            MINI_CONFIG.replace(
+                "[dataset]\nsystem = phi4", f"[dataset]\nfile = {data_file}\nsystem = phi4"
+            ).replace("order = 2\n", "order = 4\n")
+        )
+        out = tmp_path / "runs"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite prediction from [model.weak2]" in err
+        assert list(out.glob("*/*.csv")) == []
 
     def test_config_hash_recorded_and_stable(self, mini_cfg):
         a = ExperimentConfig(mini_cfg)

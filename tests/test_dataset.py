@@ -225,6 +225,23 @@ class TestCsv:
         np.testing.assert_array_equal(cols["v"], values)
         np.testing.assert_array_equal(cols["flag"], [1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["a", "b"], [[1.0, 2.0]]),
+            (["a"], [[1.0, 2.0], [3.0, 4.0]]),
+            (["a", "b"], [[1.0, 2.0], [3.0]]),
+            (["a", "b"], [[1.0], [3.0, 4.0]]),
+        ],
+        ids=["header-longer", "header-shorter", "short-last", "short-first"],
+    )
+    def test_ragged_input_rejected(self, tmp_path, header, columns):
+        # zip would cut every column to the shortest and drop the rest.
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, header, [np.array(c) for c in columns], {})
+        assert not path.exists()
+
     def test_non_finite_cell_names_line_and_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# k = v\na,b\n1,2\n3,-inf\n")

@@ -7,8 +7,6 @@ import pytest
 from mixtrees.eft import (
     Q_MAX,
     EftGp,
-    evaluate_expansion,
-    evaluate_expansion_batch,
     expansion_runs,
     extract_coefficients,
     fit_coefficient_gp,
@@ -78,37 +76,33 @@ class TestEvaluateExpansion:
     def test_weak_order_zero_is_constant(self):
         e = weak_expansion(0)
         for x in (0.0, 0.3, 2.0):
-            assert evaluate_expansion(e, x) == pytest.approx(SQRT_2PI, rel=1e-14)
+            assert e(x) == pytest.approx(SQRT_2PI, rel=1e-14)
 
     def test_weak_order_two_polynomial(self):
         e = weak_expansion(2)
         # sqrt(2 pi) * (1 - 3 * 0.01)
-        assert evaluate_expansion(e, 0.1) == pytest.approx(
-            2.4314294263920705, rel=1e-13
-        )
+        assert e(0.1) == pytest.approx(2.4314294263920705, rel=1e-13)
 
     def test_strong_tends_to_leading_coefficient(self):
         e = strong_expansion(4)
-        assert evaluate_expansion(e, 1e9) == pytest.approx(L0_ORACLE, rel=1e-8)
+        assert e(1e9) == pytest.approx(L0_ORACLE, rel=1e-8)
 
     def test_strong_rejects_zero(self):
         with pytest.raises(ValueError):
-            evaluate_expansion(strong_expansion(2), 0.0)
+            strong_expansion(2)(0.0)
 
     def test_scale_factor_applied(self):
         e = strong_expansion(4, scale=lambda x: x ** -0.5)
         bare = strong_expansion(4)
         x = 0.5
-        assert evaluate_expansion(e, x) == pytest.approx(
-            evaluate_expansion(bare, x) / np.sqrt(x), rel=1e-14
-        )
+        assert e(x) == pytest.approx(bare(x) / np.sqrt(x), rel=1e-14)
 
     def test_scaled_strong_tracks_true_system_on_the_right(self):
         # The large-coupling simulator needs the x^(-1/2) prefactor to
         # approximate the integral; with it the order-4 series is accurate
         # near x = 0.5.
         e = strong_expansion(4, scale=lambda x: x ** -0.5)
-        assert abs(evaluate_expansion(e, 0.5) - true_system_phi4(0.5)) < 0.01
+        assert abs(e(0.5) - true_system_phi4(0.5)) < 0.01
 
     def test_weak_rejects_nonzero_odd_coefficients(self):
         from mixtrees.eft import Expansion
@@ -156,7 +150,6 @@ def _simple_gp(cbar2=1.0, q=None, yref=None):
         ell=1.0,
         q_map=q or (lambda x: x),
         yref_map=yref or (lambda x: 1.0),
-        design_inputs=np.array([0.1, 0.2]),
         design_coefficients=np.zeros((2, 1)),
     )
 
@@ -199,7 +192,7 @@ class TestTruncationMoments:
 class TestFitEft:
     def test_zero_coefficients_shrink_to_prior_scale(self):
         C = np.zeros((4, 3))
-        cbar2, _ = fit_coefficient_gp(C, np.linspace(0.0, 1.0, 4), nu0=5.0, lambda0=1.0)
+        cbar2, _ = fit_coefficient_gp(C, np.linspace(0.0, 1.0, 4))
         m_total = 12
         assert cbar2 == pytest.approx(5.0 / (5.0 + m_total - 2.0), rel=1e-6)
         assert cbar2 < 1.0
@@ -265,14 +258,16 @@ def shipped_gp_models():
     models = []
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = ExperimentConfig(path)
-        models += [(path.name, s) for s in cfg.model_sections if cfg.build_model(s)[4]]
+        models += [
+            (path.name, s) for s in cfg.model_sections if cfg.build_model(s)[3] is not None
+        ]
     return models
 
 
 class TestCoefficientGpReference:
     @pytest.mark.parametrize("config,section", shipped_gp_models())
     def test_matches_cho_solve_fit(self, config, section):
-        _, exp, q_map, yref_map, _, design = ExperimentConfig(
+        _, exp, _, (q_map, yref_map, design) = ExperimentConfig(
             CONFIG_DIR / config
         ).build_model(section)
         gp = fit_eft(exp, design, q_map, yref_map)
@@ -300,9 +295,7 @@ class TestPredictEft:
         e, gp = weak_fit
         grid = linspace_grid(0.03, 0.50, 7)
         pred = predict_eft(gp, e, grid)
-        np.testing.assert_allclose(
-            pred.mean, evaluate_expansion_batch(e, grid), rtol=1e-13
-        )
+        np.testing.assert_allclose(pred.mean, [e(x) for x in grid], rtol=1e-13)
 
     def test_variance_vanishes_as_q_tends_to_zero(self, weak_fit):
         e, gp = weak_fit
@@ -316,7 +309,7 @@ class TestPredictEft:
         gp = _simple_gp(cbar2=2.0, q=lambda x: x, yref=lambda x: 1.5)
         x = 0.4
         pred = predict_eft(gp, e, [x])
-        expect_mean = evaluate_expansion(e, x)  # the tail has mean zero
+        expect_mean = e(x)  # the tail has mean zero
         expect_var = 2.0 * 1.5 ** 2 * x ** 6 / (1 - x ** 2)
         assert pred.mean[0] == pytest.approx(expect_mean, rel=1e-12)
         assert pred.variance[0] == pytest.approx(expect_var, rel=1e-12)
@@ -344,8 +337,28 @@ class TestPredictEft:
         sim = taylor_surface_simulator(np.pi, 7, np.pi, 10)
         grid = np.array([[0.0, 0.0], [1.0, -1.0]])
         pred = predict_exact(sim, grid)
+        assert pred.mean.tolist() == [sim(grid[0]), sim(grid[1])]
         assert np.all(pred.variance == 0)
         assert np.all(~pred.capped)
+
+    def test_exact_prediction_calls_series_per_scalar(self):
+        e = weak_expansion(2)
+        grid = linspace_grid(0.03, 0.50, 5)
+        assert predict_exact(e, grid).mean.tolist() == [e(x) for x in grid]
+
+    @pytest.mark.parametrize("predict", ["exact", "eft"])
+    def test_series_rejects_a_2d_point(self, weak_fit, predict):
+        # A series takes one scalar; an (n, 2) grid must not be flattened
+        # into 2n scalars.
+        e, gp = weak_fit
+        grid = np.array([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(ValueError):
+            predict_exact(e, grid) if predict == "exact" else predict_eft(gp, e, grid)
+
+    def test_eft_grid_must_be_1d(self, weak_fit):
+        e, gp = weak_fit
+        with pytest.raises(ValueError, match="1-d"):
+            predict_eft(gp, e, np.array([[0.1], [0.3]]))
 
 
 class TestTaylorSurface:
@@ -361,15 +374,10 @@ class TestTaylorSurface:
         h2 = taylor_surface_simulator(-np.pi, 13, -np.pi, 6)
         pt = np.array([-np.pi + 0.4, -np.pi + 0.4])
         truth = np.sin(pt[0]) + np.cos(pt[1])
-        assert evaluate_expansion(h2, pt) == pytest.approx(truth, abs=1e-4)
+        assert h2(pt) == pytest.approx(truth, abs=1e-4)
 
     def test_simulator_diverges_far_from_centers(self):
         h1 = taylor_surface_simulator(np.pi, 7, np.pi, 10)
         pt = np.array([-np.pi, -np.pi])
         truth = np.sin(pt[0]) + np.cos(pt[1])
-        assert abs(evaluate_expansion(h1, pt) - truth) > 10.0
-
-    def test_runs_rejected_for_custom(self):
-        sim = taylor_surface_simulator(np.pi, 7, np.pi, 10)
-        with pytest.raises(ValueError):
-            expansion_runs(sim, np.array([[0.0, 0.0]]))
+        assert abs(h1(pt) - truth) > 10.0

@@ -36,7 +36,8 @@ from mixtrees.trees import CutpointGrid, Tree, log_tree_prior, sample_tree_from_
 
 
 def make_problem(n=12, k=2, seed=0, n_grid=15):
-    """Small synthetic mixing problem with smooth model curves.
+    """Small synthetic mixing problem with smooth model curves: the data,
+    the models' predictions at the data, a grid and the models' means on it.
 
     ``k`` takes the first k of three models; y mixes the first two.
     """
@@ -53,12 +54,8 @@ def make_problem(n=12, k=2, seed=0, n_grid=15):
     g2 = 2.0 - grid
     g3 = 0.5 + grid ** 2
     data = Dataset(inputs=x, outputs=y, noise_sd=0.05, seed=seed)
-    ps = PredictionSet(
-        means=np.column_stack([f1, f2, f3])[:, :k],
-        grid=grid,
-        grid_means=np.column_stack([g1, g2, g3])[:, :k],
-    )
-    return data, ps
+    ps = PredictionSet(means=np.column_stack([f1, f2, f3])[:, :k])
+    return data, ps, grid, np.column_stack([g1, g2, g3])[:, :k]
 
 
 def encoded(draws):
@@ -103,7 +100,7 @@ def root_tree(grid, value):
 
 class TestTreeResiduals:
     def test_single_tree_with_zero_leaf_gives_y(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=1, n_burn=1, n_keep=1)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         chain.trees[0].values[0] = np.zeros(2)
@@ -111,7 +108,7 @@ class TestTreeResiduals:
         np.testing.assert_array_equal(chain.tree_residuals(0), data.outputs)
 
     def test_zero_valued_other_trees_give_y(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=3, n_burn=1, n_keep=1)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         for t in chain.trees:
@@ -120,7 +117,7 @@ class TestTreeResiduals:
         np.testing.assert_array_equal(chain.tree_residuals(1), data.outputs)
 
     def test_three_tree_bruteforce_oracle(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=3, n_burn=1, n_keep=1, seed=5)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         rng = np.random.default_rng(17)
@@ -147,7 +144,7 @@ class TestMhBookkeeping:
         # opposite total log acceptance ratios on the same residuals.
         from mixtrees.trees import propose_birth, propose_death
 
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=1, n_burn=1, n_keep=1, seed=2)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         resid = chain.tree_residuals(0)
@@ -171,7 +168,7 @@ class TestMhBookkeeping:
 
     def test_acceptance_factors_match_hand_computation(self):
         # 1-leaf vs 2-leaf pair: enumerate every factor of the MH ratio.
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=1, k=1.0, n_burn=1, n_keep=1, seed=2)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         resid = chain.tree_residuals(0)
@@ -218,7 +215,7 @@ class TestMhBookkeeping:
         # rejects a ratio of -inf or NaN, without raising.
         from mixtrees.trees import Proposal
 
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         chain = Chain(data.inputs, data.outputs, ps, SamplerConfig(m=1, seed=3))
         chain.rng = ScriptedRng(3, [0.0])
         prop = Proposal("change", valid=True, tree=chain.trees[0].copy())
@@ -227,7 +224,7 @@ class TestMhBookkeeping:
         assert accepted == np.isfinite(log_ratio)
 
     def test_min_leaf_violations_auto_reject(self):
-        data, ps = make_problem(n=4)
+        data, ps, _, _ = make_problem(n=4)
         cfg = SamplerConfig(
             m=1, n_burn=1, n_keep=1, seed=0, min_leaf_n=3, cutpoints_per_dim=50
         )
@@ -243,7 +240,7 @@ class TestMhBookkeeping:
         # whose MH uniform rejects everything (inf) copies no tree, and one
         # that accepts everything (0.0, whose log is -inf) copies one tree
         # per accepted move.
-        data, ps = make_problem_2d()
+        data, ps, _, _ = make_problem_2d()
         rng = ScriptedRng(5, [1e-300])
         chain = Chain(data.inputs, data.outputs, ps, SamplerConfig(m=4, seed=5), rng=rng)
         chain.gibbs_sweep(structure=False, hold_sigma2=True)
@@ -304,8 +301,8 @@ class TestLeafCaches:
     @staticmethod
     def problem(kind):
         if kind == "2d":
-            return make_problem_2d()
-        data, ps = make_problem(n=16, seed=2)
+            return make_problem_2d()[:2]
+        data, ps, _, _ = make_problem(n=16, seed=2)
         if kind == "1d-informative":
             x = data.inputs[:, 0]
             ps.variances = np.column_stack([0.01 + x ** 2, 0.01 + (1 - x) ** 2])
@@ -357,7 +354,7 @@ class TestLeafCaches:
         # The residuals and sigma2 are fixed for the whole update, so the
         # redraw after a rejected proposal reuses the factors of the scored
         # old leaves; a relocation scores only the leaves below its node.
-        data, ps = make_problem_2d()
+        data, ps, _, _ = make_problem_2d()
         rng = ScriptedRng(5, [1e-300])
         cfg = SamplerConfig(m=2, seed=5)
         chain = Chain(data.inputs, data.outputs, ps, cfg, rng=rng)
@@ -411,7 +408,7 @@ class TestLeafCaches:
         # a redraw.  The other trees and sigma2 stay fixed throughout, so
         # the three steps share one residual vector and factor each
         # distinct row set once.
-        data, ps = make_problem_2d()
+        data, ps, _, _ = make_problem_2d()
         rng = ScriptedRng(5, [1e-300])
         chain = Chain(data.inputs, data.outputs, ps, SamplerConfig(m=1, seed=5), rng=rng)
         for _ in range(6):  # accepted births grow the tree
@@ -463,7 +460,7 @@ class TestLeafCaches:
 
 class TestGibbsSweep:
     def test_deterministic_under_fixed_seed(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=4, n_burn=20, n_keep=30, seed=123)
         a = fit_bmm(data, ps, cfg)
         b = fit_bmm(data, ps, cfg)
@@ -473,7 +470,7 @@ class TestGibbsSweep:
     def test_kept_ensembles_are_snapshots(self):
         # Later sweeps redraw every leaf and move structure; each tree-draw
         # kept in the table must still encode as the chain tree did when kept.
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=3, n_burn=10, n_keep=20, thin=2, seed=4)
         at_keep = []
 
@@ -488,7 +485,7 @@ class TestGibbsSweep:
     def test_sse_cache_matches_recomputation(self):
         # Cache coherence: the SSE the sigma2 draw uses must equal the SSE
         # recomputed from scratch by evaluating every tree at every sweep.
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=3, n_burn=10, n_keep=20, seed=1)
         worst = 0.0
 
@@ -507,7 +504,7 @@ class TestGibbsSweep:
     def test_fixed_structure_reduction_matches_conjugate_posterior(self, k):
         # Structure moves off, one root tree, sigma2 held: the leaf draws
         # are iid from the analytic conjugate posterior.
-        data, ps = make_problem(k=k)
+        data, ps, _, _ = make_problem(k=k)
         sigma2 = 0.05 ** 2
         cfg = SamplerConfig(m=1, k=1.0, n_burn=100, n_keep=20_000, seed=11)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
@@ -528,7 +525,7 @@ class TestGibbsSweep:
         # One root-only tree with structure moves off consumes the same rng
         # stream as a hand-coded Bayesian linear regression Gibbs sampler,
         # so the two must agree draw for draw.
-        data, ps = make_problem(k=k)
+        data, ps, _, _ = make_problem(k=k)
         cfg = SamplerConfig(
             m=1, k=1.5, nu=6.0, lam=0.02, n_burn=0, n_keep=1, seed=77
         )
@@ -573,11 +570,7 @@ class TestGibbsSweep:
         noise = 0.1
         y = f1 * 1.0 + f2 * 0.0 + rng.normal(0, noise, 40)
         data = Dataset(inputs=x, outputs=y, noise_sd=noise, seed=3)
-        ps = PredictionSet(
-            means=np.column_stack([f1, f2]),
-            grid=x[:5],
-            grid_means=np.column_stack([f1[:5], f2[:5]]),
-        )
+        ps = PredictionSet(means=np.column_stack([f1, f2]))
         cfg = SamplerConfig(
             m=5, k=2.0, nu=10, lam=noise ** 2, n_burn=300, n_keep=1500, seed=4
         )
@@ -590,7 +583,7 @@ class TestGibbsSweep:
         # and relocation and discards them.  An oracle that runs that
         # redraw in full, as each tree update's own redraw does, must leave
         # the same trees, leaf values, fits and sigma2, bit for bit.
-        data, ps = make_problem_2d()
+        data, ps, _, _ = make_problem_2d()
         cfg = SamplerConfig(m=5, seed=21, min_leaf_n=2)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         oracle = Chain(data.inputs, data.outputs, ps, cfg)
@@ -619,20 +612,16 @@ class TestGibbsSweep:
 
 class TestInformativePrior:
     def make_problem_with_variances(self):
-        data, ps = make_problem(n=16, seed=2)
+        data, ps, grid, grid_means = make_problem(n=16, seed=2)
         # model 1 precise on the left, model 2 on the right
         x = data.inputs[:, 0]
         v1 = 0.01 + x ** 2
         v2 = 0.01 + (1 - x) ** 2
-        return data, PredictionSet(
-            means=ps.means,
-            variances=np.column_stack([v1, v2]),
-            grid=ps.grid,
-            grid_means=ps.grid_means,
-        )
+        ps = PredictionSet(means=ps.means, variances=np.column_stack([v1, v2]))
+        return data, ps, grid, grid_means
 
     def test_informative_chain_runs_and_uses_precision_weights(self):
-        data, ps = self.make_problem_with_variances()
+        data, ps, grid, grid_means = self.make_problem_with_variances()
         cfg = SamplerConfig(m=4, k=2.0, informative=True, n_burn=50, n_keep=100, seed=6)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         from mixtrees.calibration import informative_tau, precision_weights
@@ -646,10 +635,10 @@ class TestInformativePrior:
         right = chain.leaf_prior_for(np.arange(12, 16))
         assert left.mean[0] > right.mean[0]
         draws = fit_bmm(data, ps, cfg)
-        assert np.all(np.isfinite(predict_mixed(draws, ps.grid, ps.grid_means).mean))
+        assert np.all(np.isfinite(predict_mixed(draws, grid, grid_means).mean))
 
     def test_informative_requires_variances(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=2, informative=True, n_burn=1, n_keep=1)
         with pytest.raises(ValueError, match="variances"):
             Chain(data.inputs, data.outputs, ps, cfg)
@@ -847,7 +836,7 @@ class TestDrawTable:
     def test_fit_holds_one_tree_per_structure(self):
         # The kept draws hold one skeleton Tree per distinct structure, not
         # a tree per kept tree-draw.
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=4, n_burn=20, n_keep=30, seed=123)
         structures = set()
 
@@ -868,7 +857,7 @@ class TestDrawTable:
         # append keeps the structure id of a tree object that held the same
         # position at the last append.  Over a real chain's kept draws the
         # table must equal one that interns a fresh key for every tree.
-        data, ps = make_problem_2d()
+        data, ps, _, _ = make_problem_2d()
         cfg = SamplerConfig(m=5, n_burn=20, n_keep=60, seed=21, min_leaf_n=2)
         fresh = PosteriorDraws()
 
@@ -897,7 +886,7 @@ class TestDrawTable:
 
 class TestDrawArchive:
     def test_round_trip_and_reprediction(self, tmp_path):
-        data, ps = make_problem()
+        data, ps, grid, grid_means = make_problem()
         cfg = SamplerConfig(m=3, n_burn=30, n_keep=40, seed=8)
         draws = fit_bmm(data, ps, cfg)
         path = tmp_path / "draws.txt"
@@ -905,8 +894,8 @@ class TestDrawArchive:
         ensembles = load_draws(path)
         assert len(ensembles) == draws.n_kept
         np.testing.assert_array_equal([s for s, _ in ensembles], draws.sigma2_trace)
-        again = predict_from_archive(ensembles, ps.grid, ps.grid_means)
-        original = predict_mixed(draws, ps.grid, ps.grid_means)
+        again = predict_from_archive(ensembles, grid, grid_means)
+        original = predict_mixed(draws, grid, grid_means)
         for f in dataclasses.fields(original):
             np.testing.assert_array_equal(
                 getattr(again, f.name), getattr(original, f.name), err_msg=f.name
@@ -915,7 +904,7 @@ class TestDrawArchive:
     def test_loaded_archive_mirrors_file(self, tmp_path):
         # The pairs load_draws reads, appended into PosteriorDraws, give back
         # each draw's tree lines and sigma2, and the fit's structures.
-        data, ps = make_problem_2d()
+        data, ps, _, _ = make_problem_2d()
         cfg = SamplerConfig(m=5, n_burn=25, n_keep=25, seed=21, min_leaf_n=3)
         draws = fit_bmm(data, ps, cfg)
         path = tmp_path / "draws.txt"
@@ -1006,7 +995,7 @@ class TestDrawArchive:
             predict_from_archive(ensembles, grid, grid_means)
 
     def test_archive_supports_new_grid(self, tmp_path):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         cfg = SamplerConfig(m=2, n_burn=10, n_keep=15, seed=8)
         draws = fit_bmm(data, ps, cfg)
         path = tmp_path / "draws.txt"
@@ -1020,17 +1009,48 @@ class TestDrawArchive:
 
 class TestValidation:
     def test_misaligned_predictions_rejected(self):
-        data, ps = make_problem()
-        bad = PredictionSet(
-            means=ps.means[:-1],
-            grid=ps.grid,
-            grid_means=ps.grid_means,
-        )
+        data, ps, _, _ = make_problem()
+        bad = PredictionSet(means=ps.means[:-1])
         with pytest.raises(ValueError, match="align"):
             fit_bmm(data, bad, SamplerConfig(n_burn=1, n_keep=1))
 
+    def test_non_finite_predictions_rejected(self):
+        data, ps, _, _ = make_problem()
+        ps.means[3, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite predictions"):
+            PredictionSet(means=ps.means)
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ("drop_row", "grid_means has 14 rows, grid 15"),
+            ("drop_column", "leaf vectors of 2 values, expected 1"),
+            ("add_column", "leaf vectors of 2 values, expected 3"),
+            ("nan", "non-finite grid_means"),
+            ("inf", "non-finite grid_means"),
+        ],
+    )
+    def test_grid_means_checked_by_predict_mixed(self, tmp_path, change, error):
+        # The models' grid means must be (len(grid), K) and finite, whether
+        # the draws come from a fit or from an archive.
+        data, ps, grid, grid_means = make_problem()
+        draws = fit_bmm(data, ps, SamplerConfig(m=2, n_burn=2, n_keep=3, seed=1))
+        path = tmp_path / "draws.txt"
+        save_draws(draws, path)
+        bad = {
+            "drop_row": grid_means[:-1],
+            "drop_column": grid_means[:, :1],
+            "add_column": np.column_stack([grid_means, grid_means[:, 0]]),
+            "nan": np.where(np.arange(2) == 1, np.nan, grid_means),
+            "inf": np.where(np.arange(2) == 0, np.inf, grid_means),
+        }[change]
+        with pytest.raises(ValueError, match=error):
+            predict_mixed(draws, grid, bad)
+        with pytest.raises(ValueError, match=error):
+            predict_from_archive(load_draws(path), grid, bad)
+
     def test_concat_pools_chains(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         parts = [
             fit_bmm(data, ps, SamplerConfig(m=2, n_burn=5, n_keep=10, seed=s))
             for s in (1, 2)
@@ -1056,13 +1076,13 @@ class TestFitChains:
         assert got.meta == expected.meta
 
     def test_one_chain_is_fit_bmm(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         got = fit_chains(data, ps, self.CFG, 1)
         self.assert_same_draws(got, fit_bmm(data, ps, self.CFG))
         assert "chains" not in got.meta
 
     def test_chains_pool_in_seed_order(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         got = fit_chains(data, ps, self.CFG, 2)
         parts = [
             fit_bmm(data, ps, dataclasses.replace(self.CFG, seed=seed))
@@ -1072,7 +1092,7 @@ class TestFitChains:
         assert got.meta["chains"] == 2
 
     def test_needs_a_chain(self):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         with pytest.raises(ValueError, match="chain"):
             fit_chains(data, ps, self.CFG, 0)
 
@@ -1085,7 +1105,7 @@ class TestFitChains:
         assert multiprocessing.active_children() == []
 
     def test_more_chains_than_workers(self, two_cpus):
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         got = fit_chains(data, ps, self.CFG, 3)
         parts = [
             fit_bmm(data, ps, dataclasses.replace(self.CFG, seed=seed))
@@ -1101,7 +1121,7 @@ class TestFitChains:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         got = fit_chains(data, ps, self.CFG, 2)
         monkeypatch.undo()
         self.assert_same_draws(got, fit_chains(data, ps, self.CFG, 2))
@@ -1124,7 +1144,7 @@ class TestFitChains:
         # exactly one chain's sweeps.
         calls = self.count_caller_sweeps(monkeypatch)
         cfg = dataclasses.replace(self.CFG, thin=2)
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         fit_chains(data, ps, cfg, 2)
         assert len(calls) == cfg.n_burn + cfg.n_keep * cfg.thin
 
@@ -1132,7 +1152,7 @@ class TestFitChains:
         # Four chains over the caller and one worker: each runs two, dealt
         # round-robin, and the pool still comes back in chain order.
         calls = self.count_caller_sweeps(monkeypatch)
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         got = fit_chains(data, ps, self.CFG, 4)
         assert len(calls) == 2 * (self.CFG.n_burn + self.CFG.n_keep)
         parts = [
@@ -1152,13 +1172,14 @@ class TestFitChains:
             return sweep(self, **kwargs)
 
         monkeypatch.setattr(Chain, "gibbs_sweep", fails)
-        data, ps = make_problem()
+        data, ps, _, _ = make_problem()
         with pytest.raises(FloatingPointError, match="chain diverged"):
             fit_chains(data, ps, self.CFG, 2)
 
 
 def make_problem_2d(n=40, seed=4, mesh=5):
-    """Two linear surfaces mixed along the diagonal of [-1, 1]^2."""
+    """Two linear surfaces mixed along the diagonal of [-1, 1]^2: the data,
+    the surfaces at the data, a mesh and the surfaces on it."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, 2))
     g = np.linspace(-1.0, 1.0, mesh)
@@ -1171,7 +1192,7 @@ def make_problem_2d(n=40, seed=4, mesh=5):
     F = models(X)
     y = w * F[:, 0] + (1.0 - w) * F[:, 1] + rng.normal(0, 0.05, n)
     data = Dataset(inputs=X, outputs=y, noise_sd=0.05, seed=seed)
-    return data, PredictionSet(means=F, grid=G, grid_means=models(G))
+    return data, PredictionSet(means=F), G, models(G)
 
 
 class TestGoldenBytes:
@@ -1188,12 +1209,13 @@ class TestGoldenBytes:
     """
 
     @staticmethod
-    def digests(data, ps, cfg, tmp_path):
+    def digests(problem, cfg, tmp_path):
+        data, ps, grid, grid_means = problem
         draws = fit_bmm(data, ps, cfg)
         path = tmp_path / "draws.txt"
         save_draws(draws, path)
-        weights = draws.weights(ps.grid)
-        mixed = np.einsum("gk,sgk->sg", ps.grid_means, weights)
+        weights = draws.weights(grid.reshape(len(grid), -1))
+        mixed = np.einsum("gk,sgk->sg", grid_means, weights)
         return tuple(
             hashlib.sha256(b).hexdigest()
             for b in (
@@ -1204,16 +1226,14 @@ class TestGoldenBytes:
         )
 
     def test_1d_birth_death(self, tmp_path):
-        data, ps = make_problem()
         cfg = SamplerConfig(m=4, n_burn=20, n_keep=30, seed=123)
-        assert self.digests(data, ps, cfg, tmp_path) == (
+        assert self.digests(make_problem(), cfg, tmp_path) == (
             "57d1c654f8be7162cfe57ee48c458b480222fefbe3236ab829dd5c802ef6307f",
             "85eacc4393bed79355ef61289843dfbe4c953177f8cefa67ee316d61feb7e7ce",
             "92b9a3e532e79c5f93de865d495d6cb9ec11da7dd6ae47bada750f068c92fee2",
         )
 
     def test_2d_midpoints_with_relocation(self, tmp_path):
-        data, ps = make_problem_2d()
         cfg = SamplerConfig(
             m=5,
             n_burn=25,
@@ -1223,7 +1243,7 @@ class TestGoldenBytes:
             cutpoint_method="midpoints",
             cutpoints_per_dim=30,
         )
-        assert self.digests(data, ps, cfg, tmp_path) == (
+        assert self.digests(make_problem_2d(), cfg, tmp_path) == (
             "c4bffdf490c8161b6d85c52d24d6001c080aaa8c34994055c3dc8696c043bbb5",
             "ae393b6880a736a2196f4f3b6ffc86bc1a0c3a44454fdb1374af39950a22d2bb",
             "cbfc3272cf54a4e89c35a8272a51c6deac1294e2b652fb7bac7709db53cd3a22",
