@@ -21,7 +21,6 @@ from .node_model import NoisePrior
 class BmaResult:
     log_evidences: np.ndarray
     posterior_probs: np.ndarray
-    grid: np.ndarray
     mean: np.ndarray
 
     def __post_init__(self):
@@ -73,7 +72,7 @@ def bma_predict(weights, grid_means) -> np.ndarray:
     return gm @ w
 
 
-def run_bma(y, train_means, grid, grid_means, noise: NoisePrior) -> BmaResult:
+def run_bma(y, train_means, grid_means, noise: NoisePrior) -> BmaResult:
     """Evidence, weights, and averaged curve for a set of models."""
     train_means = np.atleast_2d(np.asarray(train_means, dtype=float))
     log_ev = np.array(
@@ -83,6 +82,5 @@ def run_bma(y, train_means, grid, grid_means, noise: NoisePrior) -> BmaResult:
     return BmaResult(
         log_evidences=log_ev,
         posterior_probs=probs,
-        grid=np.asarray(grid, dtype=float),
         mean=bma_predict(probs, grid_means),
     )

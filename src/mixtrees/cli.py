@@ -132,6 +132,8 @@ class ExperimentConfig:
     def build_dataset(self, seed_override=None) -> ds.Dataset:
         sec = self.parser["dataset"] if "dataset" in self.parser else {}
         if "file" in sec:
+            if seed_override is not None:
+                raise ConfigError("--seed cannot apply to the table of [dataset] file")
             path = Path(sec["file"])
             if not path.exists():
                 raise ConfigError(f"dataset file not found: {path}")
@@ -449,7 +451,7 @@ def cmd_bma(cfg: ExperimentConfig, out_dir: Path) -> None:
     grid = cfg.eval_grid(data)
     names, train_mean, _, grid_mean, _, _ = cfg.model_predictions(data, grid)
     result = baselines.run_bma(
-        data.outputs, train_mean, grid, grid_mean,
+        data.outputs, train_mean, grid_mean,
         scfg.noise_prior(train_mean, data.outputs),
     )
     meta = {"config_hash": cfg.config_hash, "seed": cfg.dataset_seed()}
@@ -498,7 +500,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="output directory root")
-        p.add_argument("--seed", type=int, default=None, help="override run seed")
+        if name in ("simulate", "mix"):
+            p.add_argument("--seed", type=int, default=None, help="override run seed")
         if name == "mix":
             p.add_argument("--chains", type=int, default=None)
     p_report = sub.add_parser("report")

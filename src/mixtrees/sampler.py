@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -214,17 +213,10 @@ class Chain:
             total += _log_ml_raw(r, design, mean, sd, self.sigma2, factor)
         return total
 
-    def mh_tree_update(self, j: int, resid, structure: bool = True) -> bool:
-        """Propose birth or death on tree j and accept via the integrated
-        likelihood of its residuals ``resid`` (:meth:`tree_residuals`); then
-        redraw all its leaves.  Returns the accept flag."""
-        accepted = structure and self._birth_or_death(j, resid)
-        self._redraw_leaves(j, resid)
-        return accepted
-
     def _birth_or_death(self, j: int, resid) -> bool:
-        """Propose birth or death on tree j and run its Metropolis-Hastings
-        test against ``resid``, without a redraw; returns the accept flag."""
+        """Propose birth or death on tree j and accept via the integrated
+        likelihood of its residuals ``resid`` (:meth:`tree_residuals`),
+        without a redraw.  Returns the accept flag."""
         self.n_proposals += 1
         tree, rng = self.trees[j], self.rng
         if rng.random() < BIRTH_PROB:
@@ -235,14 +227,12 @@ class Chain:
             log_kind = LOG_KIND_DEATH
         return self._try_accept(j, prop, resid, log_kind)
 
-    def mh_rule_change(self, j: int, resid) -> bool:
+    def _relocate(self, j: int, resid) -> bool:
         """Relocate one rule of tree j (warmup move) against its residuals
-        ``resid``; leaves are redrawn.  Returns the accept flag."""
+        ``resid``, without a redraw.  Returns the accept flag."""
         self.n_proposals += 1
         prop = propose_rule_change(self.trees[j], self.X, self.cfg.min_leaf_n, self.rng)
-        accepted = self._try_accept(j, prop, resid, 0.0)
-        self._redraw_leaves(j, resid)
-        return accepted
+        return self._try_accept(j, prop, resid, 0.0)
 
     def _try_accept(self, j, prop, resid, log_kind) -> bool:
         if not prop.valid:
@@ -305,11 +295,12 @@ class Chain:
         on the chain.
         """
         for j in range(self.cfg.m):
-            # The other trees and sigma2 stay fixed through both moves on
+            # The other trees and sigma2 stay fixed through every move on
             # tree j, so they share its residuals and so its factor cache.
             resid = self.tree_residuals(j)
-            if warmup and structure:
+            if structure:
                 self._birth_or_death(j, resid)
+            if structure and warmup:
                 # A leaf redraw here would be overwritten unread: the
                 # relocation integrates the leaves out, and the redraw after
                 # it rewrites every leaf and every row of fits[j].  Its
@@ -317,16 +308,10 @@ class Chain:
                 # that redraw would leave it and the draws keep their bytes.
                 n_leaves = len(self.trees[j].leaf_nodes())
                 self.rng.standard_normal((n_leaves, self.n_models))
-                self.mh_rule_change(j, resid)
-            else:
-                self.mh_tree_update(j, resid, structure=structure)
+                self._relocate(j, resid)
+            self._redraw_leaves(j, resid)
         if not hold_sigma2:
             self.sigma2 = sample_sigma2(self.total_sse, self.n, self.noise, self.rng)
-
-
-def _structure_key(tree: Tree) -> tuple:
-    """What routes rows: ``var`` and the cuts of the internal nodes."""
-    return tuple(tree.var), tuple(c for v, c in zip(tree.var, tree.cut) if v >= 0)
 
 
 def _extend(buf: np.ndarray, n: int, rows) -> np.ndarray:
@@ -347,7 +332,7 @@ class PosteriorDraws:
     """Kept MCMC output: sigma2 and the m trees of each kept draw, with each
     distinct tree structure held once.
 
-    A structure (:func:`_structure_key`) is interned as a skeleton
+    A structure (:attr:`Tree.key`) is interned as a skeleton
     :class:`Tree` without leaf values, with its leaf nodes in pre-order.
     Kept draw s holds ``sigma2_trace[s]``, one row of m structure ids
     (``ids[s]``) and m offsets (``offsets[s]``): the leaf vectors of its
@@ -360,10 +345,6 @@ class PosteriorDraws:
         self.skeletons: list[Tree] = []
         self.leaf_nodes: list[list[int]] = []
         self._index = {}
-        # Per position, a weak reference to the tree of the last append and
-        # its structure id; a pickled copy forgets them.
-        self._held: list[weakref.ref] = []
-        self._held_ids: list[int] = []
         self.n_kept = self.n_leaves = 0
         self._sigma2 = np.empty(0)
         self._ids = np.empty((0, 0), dtype=np.intp)
@@ -393,7 +374,7 @@ class PosteriorDraws:
         return self.n_accepted / self.n_proposals if self.n_proposals else 0.0
 
     def _intern(self, tree: Tree) -> int:
-        key = _structure_key(tree)
+        key = tree.key
         sid = self._index.get(key)
         if sid is None:
             sid = self._index[key] = len(self.skeletons)
@@ -414,25 +395,16 @@ class PosteriorDraws:
         """Keep one draw: ``sigma2`` and the structures and current leaf
         vectors of ``trees``.
 
-        A tree object that held the same position at the last append keeps
-        that append's structure id, so a tree's structure must not change
-        in place between appends; the chain replaces a tree object on every
-        accepted move and changes only leaf values in place.  Raises
-        ValueError for a draw without trees, or with another number of
-        trees than the draws already kept, and for leaf vectors that differ
-        in length from each other or from those of the draws already kept.
+        Raises ValueError for a draw without trees, or with another number
+        of trees than the draws already kept, and for leaf vectors that
+        differ in length from each other or from those of the draws already
+        kept.
         """
         if not trees:
             raise ValueError("a draw without trees")
         if self.n_kept and len(trees) != self._ids.shape[1]:
             raise ValueError(f"a draw of {len(trees)} trees, expected {self._ids.shape[1]}")
-        if len(self._held) == len(trees):
-            ids = [
-                sid if ref() is tree else self._intern(tree)
-                for tree, ref, sid in zip(trees, self._held, self._held_ids)
-            ]
-        else:
-            ids = [self._intern(tree) for tree in trees]
+        ids = [self._intern(tree) for tree in trees]
         offsets, values = [], []
         for tree, sid in zip(trees, ids):
             offsets.append(self.n_leaves + len(values))
@@ -445,10 +417,6 @@ class PosteriorDraws:
         if not same:
             raise ValueError("leaf vectors of different lengths")
         self._add([sigma2], [ids], [offsets], values)
-        self._held, self._held_ids = list(map(weakref.ref, trees)), ids
-
-    def __getstate__(self):
-        return dict(self.__dict__, _held=[], _held_ids=[])
 
     @classmethod
     def concat(cls, parts: list["PosteriorDraws"]) -> "PosteriorDraws":
@@ -582,7 +550,6 @@ def _fit_each(dataset, ps: PredictionSet, configs) -> list[PosteriorDraws]:
 class MixedSummary:
     """Pointwise posterior summaries of the mixed mean and the weights."""
 
-    grid: np.ndarray
     mean: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -636,7 +603,6 @@ def predict_mixed(draws: PosteriorDraws, grid, grid_means) -> MixedSummary:
         wsum += weights[:, :, k]
     del weights
     return MixedSummary(
-        grid,
         *mixed_stats,
         weight_mean, *weight_band,
         wsum.mean(axis=0), *np.quantile(wsum, q, axis=0),

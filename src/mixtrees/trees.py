@@ -97,7 +97,8 @@ class Tree:
 
     :meth:`node_rows` caches the rows of one X that reach each node; the
     structure moves keep that cache up to date, re-routing only the rows
-    below the node they change.
+    below the node they change.  :attr:`key` is cached too, and every
+    structure edit clears it.
     """
 
     _NODE_LISTS = ("var", "cut", "right", "depths", "values", "spans", "_rows")
@@ -110,7 +111,7 @@ class Tree:
         if grid is not None:
             self.spans = [tuple((0, c.size) for c in grid.cuts)]
             self.spans += [None] * (len(var) - 1)
-        self._rows = self._X = None
+        self._rows = self._X = self._key = None
         self._refresh(0, len(var))
 
     @classmethod
@@ -121,11 +122,19 @@ class Tree:
     def copy(self) -> "Tree":
         """A tree with its own node lists (leaf vectors and rows are shared)."""
         new = Tree.__new__(Tree)
-        new.grid, new._X = self.grid, self._X
+        new.grid, new._X, new._key = self.grid, self._X, self._key
         for name in self._NODE_LISTS:
             lst = getattr(self, name)
             setattr(new, name, None if lst is None else list(lst))
         return new
+
+    @property
+    def key(self) -> tuple:
+        """What routes rows: ``var`` and the cuts of the internal nodes."""
+        if self._key is None:
+            var = self.var
+            self._key = tuple(var), tuple(c for v, c in zip(var, self.cut) if v >= 0)
+        return self._key
 
     # ---- traversal -----------------------------------------------------
 
@@ -245,6 +254,7 @@ class Tree:
             lst[k:k] = [lst[i], lst[i]]
         self.depths[k] = self.depths[k + 1] = self.depths[i] + 1
         self.var[i], self.cut[i], self.right[i] = var, cut, k + 1
+        self._key = None
         self._refresh(i, k)
 
     def _collapse(self, i: int) -> None:
@@ -255,6 +265,16 @@ class Tree:
             del lst[k : k + 2]
         self.right = [c - 2 if c > i else c for c in self.right]
         self.var[i], self.cut[i], self.right[i] = -1, np.nan, -1
+        self._key = None
+
+    def _move_rule(self, i: int, var: int, cut: float) -> tuple[int, bool]:
+        """Give internal node i the rule ``x_var < cut``.  Returns the end of
+        its subtree and whether every rule in the subtree still cuts inside
+        its node's interval (:meth:`_refresh`)."""
+        self.var[i], self.cut[i] = var, cut
+        self._key = None
+        end = self._subtree_end(i)
+        return end, self._refresh(i, end)
 
     def leaf_index(self, X: np.ndarray) -> np.ndarray:
         """Node index of the leaf that each row of X reaches."""
@@ -552,9 +572,7 @@ def propose_rule_change(
 
     rows = tree.node_rows(X)
     new = tree.copy()
-    new.var[node], new.cut[node] = var, cut
-    end = new._subtree_end(node)
-    inside = new._refresh(node, end)
+    end, inside = new._move_rule(node, var, cut)
     leaves = [i for i in range(node, end) if new.var[i] < 0]
     old_sets = [rows[i] for i in leaves]
     new_sets = [new._rows[i] for i in leaves]

@@ -159,7 +159,7 @@ class TestCriterion4BmaFailure:
         grid_mean = example1a["grid_means"]
         truth = example1a["truth"]
         noise = example1a["cfg"].sampler_config().noise_prior(train_mean, data.outputs)
-        result = run_bma(data.outputs, train_mean, example1a["grid"], grid_mean, noise)
+        result = run_bma(data.outputs, train_mean, grid_mean, noise)
         weak_ix = example1a["names"].index("weak2")
         w_weak = result.posterior_probs[weak_ix]
         bma_rmse = rmse(result.mean, truth)

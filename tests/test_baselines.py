@@ -102,9 +102,8 @@ class TestRunBma:
         rng = np.random.default_rng(3)
         y = rng.normal(size=10)
         train = np.column_stack([y + 0.01, y + 2.0])
-        grid = np.linspace(0, 1, 5)
         gm = np.column_stack([np.ones(5), np.zeros(5)])
-        res = run_bma(y, train, grid, gm, NoisePrior(5.0, 0.1))
+        res = run_bma(y, train, gm, NoisePrior(5.0, 0.1))
         assert res.posterior_probs.sum() == pytest.approx(1.0)
         assert res.posterior_probs[0] > 0.999
         np.testing.assert_allclose(res.mean, np.ones(5), atol=1e-3)

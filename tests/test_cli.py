@@ -559,6 +559,35 @@ class TestConfigErrors:
         assert "error" in capsys.readouterr().err
         assert not (out / "mini" / "mix_grid.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit-eft", "bma"])
+    def test_seed_flag_only_where_read(self, mini_cfg, tmp_path, capsys, command):
+        # Only simulate and mix read a seed, so only they take --seed.
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(mini_cfg), "--out", str(out), "--seed", "99"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_with_dataset_file_is_config_error(self, mini_cfg, tmp_path, capsys):
+        # A dataset read from a table has no seed for --seed to override.
+        out = tmp_path / "runs"
+        assert main(["simulate", "--config", str(mini_cfg), "--out", str(out)]) == 0
+        data_file = out / "mini" / "dataset.csv"
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(
+            MINI_CONFIG.replace(
+                "[dataset]\nsystem = phi4",
+                f"[dataset]\nfile = {data_file}\nsystem = phi4",
+            )
+        )
+        again = tmp_path / "again"
+        args = ["simulate", "--config", str(cfg), "--out", str(again), "--seed", "5"]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert "[dataset] file" in capsys.readouterr().err
+        assert not (again / "mini" / "dataset.csv").exists()
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

@@ -87,11 +87,20 @@ def oracle_summary(ensembles, grid, grid_means):
     wsum = weights.sum(axis=2)
     q = [0.025, 0.975]
     return MixedSummary(
-        grid,
         mixed.mean(axis=0), *np.quantile(mixed, q, axis=0),
         weights.mean(axis=0), *np.quantile(weights, q, axis=0),
         wsum.mean(axis=0), *np.quantile(wsum, q, axis=0),
     )
+
+
+def tree_update(chain, j, relocate=False):
+    """Birth or death on tree j, or with ``relocate`` a relocation, then its
+    leaf redraw, all against one residual vector; returns the accept flag."""
+    resid = chain.tree_residuals(j)
+    move = chain._relocate if relocate else chain._birth_or_death
+    accepted = move(j, resid)
+    chain._redraw_leaves(j, resid)
+    return accepted
 
 
 def root_tree(grid, value):
@@ -230,7 +239,7 @@ class TestMhBookkeeping:
         )
         chain = Chain(data.inputs, data.outputs, ps, cfg)
         # 4 points can never split into two sides of >= 3.
-        accepted = [chain.mh_tree_update(0, chain.tree_residuals(0)) for _ in range(100)]
+        accepted = [tree_update(chain, 0) for _ in range(100)]
         assert not any(accepted)
         assert chain.trees[0].n_leaves() == 1
 
@@ -330,11 +339,7 @@ class TestLeafCaches:
         chain = Chain(data.inputs, data.outputs, ps, cfg, rng=ScriptedRng(seed, script))
         chain.gibbs_sweep(structure=False)
         for j, relocate in moves:
-            resid = chain.tree_residuals(j)
-            if relocate:
-                chain.mh_rule_change(j, resid)
-            else:
-                chain.mh_tree_update(j, resid)
+            tree_update(chain, j, relocate)
             for t, tree in enumerate(chain.trees):
                 rows = tree.node_rows(chain.X)
                 leaf_rows = [rows[i] for i in tree.leaf_nodes()]
@@ -359,7 +364,7 @@ class TestLeafCaches:
         cfg = SamplerConfig(m=2, seed=5)
         chain = Chain(data.inputs, data.outputs, ps, cfg, rng=rng)
         for _ in range(6):  # accepted births grow tree 0
-            chain.mh_tree_update(0, chain.tree_residuals(0))
+            tree_update(chain, 0)
         assert chain.trees[0].n_leaves() >= 3
 
         props, factored = [], []
@@ -380,13 +385,11 @@ class TestLeafCaches:
         for _ in range(50):
             props.clear()
             factored.clear()
-            resid = chain.tree_residuals(0)
             if move == "change":
                 rng.script = itertools.cycle([np.inf])
-                assert not chain.mh_rule_change(0, resid)
             else:
                 rng.script = iter([0.25 if move == "birth" else 0.75, np.inf])
-                assert not chain.mh_tree_update(0, resid)
+            assert not tree_update(chain, 0, relocate=move == "change")
             if props[-1].valid:
                 break
         else:
@@ -412,7 +415,7 @@ class TestLeafCaches:
         rng = ScriptedRng(5, [1e-300])
         chain = Chain(data.inputs, data.outputs, ps, SamplerConfig(m=1, seed=5), rng=rng)
         for _ in range(6):  # accepted births grow the tree
-            chain.mh_tree_update(0, chain.tree_residuals(0))
+            tree_update(chain, 0)
         assert chain.trees[0].n_leaves() >= 3
 
         props, redrawn, factored = [], [], []
@@ -581,8 +584,8 @@ class TestGibbsSweep:
     def test_warmup_skipped_redraw_keeps_every_byte(self):
         # Warmup draws the normals of the leaf redraw between birth/death
         # and relocation and discards them.  An oracle that runs that
-        # redraw in full, as each tree update's own redraw does, must leave
-        # the same trees, leaf values, fits and sigma2, bit for bit.
+        # redraw in full, as the redraw after the relocation does, must
+        # leave the same trees, leaf values, fits and sigma2, bit for bit.
         data, ps, _, _ = make_problem_2d()
         cfg = SamplerConfig(m=5, seed=21, min_leaf_n=2)
         chain = Chain(data.inputs, data.outputs, ps, cfg)
@@ -591,8 +594,10 @@ class TestGibbsSweep:
         def oracle_warmup_sweep(hold_sigma2):
             for j in range(cfg.m):
                 resid = oracle.tree_residuals(j)
-                oracle.mh_tree_update(j, resid)  # birth or death, full redraw
-                oracle.mh_rule_change(j, resid)
+                oracle._birth_or_death(j, resid)
+                oracle._redraw_leaves(j, resid)  # the full redraw
+                oracle._relocate(j, resid)
+                oracle._redraw_leaves(j, resid)
             if not hold_sigma2:
                 oracle.sigma2 = sample_sigma2(
                     oracle.total_sse, oracle.n, oracle.noise, oracle.rng
@@ -854,34 +859,39 @@ class TestDrawTable:
         assert trees_alive() - before == len(structures)
 
     def test_append_reuses_ids_of_unchanged_trees(self, monkeypatch):
-        # append keeps the structure id of a tree object that held the same
-        # position at the last append.  Over a real chain's kept draws the
-        # table must equal one that interns a fresh key for every tree.
+        # A tree caches its structure key, so over a real chain's kept draws
+        # append builds one key per distinct tree object, and its table
+        # equals one that interns a fresh copy of every tree.
         data, ps, _, _ = make_problem_2d()
         cfg = SamplerConfig(m=5, n_burn=20, n_keep=60, seed=21, min_leaf_n=2)
-        fresh = PosteriorDraws()
+        fresh, kept = PosteriorDraws(), []
 
         def record(sweep, chain):
-            if sweep >= cfg.n_burn:  # new objects: every tree is interned
-                fresh.append(chain.sigma2, [t.copy() for t in chain.trees])
+            if sweep >= cfg.n_burn:
+                kept.extend(chain.trees)
+                fresh.append(chain.sigma2, [Tree.decode(t.encode()) for t in chain.trees])
 
-        keys, structure_key = [], sampler_module._structure_key
+        built, key = [], Tree.key
 
         def counted_key(tree):
-            keys.append(tree)
-            return structure_key(tree)
+            if tree._key is None:
+                built.append(tree)
+            return key.fget(tree)
 
-        monkeypatch.setattr(sampler_module, "_structure_key", counted_key)
+        monkeypatch.setattr(Tree, "key", property(counted_key))
         draws = fit_bmm(data, ps, cfg, callback=record)
         np.testing.assert_array_equal(draws.ids, fresh.ids)
         np.testing.assert_array_equal(draws.offsets, fresh.offsets)
         np.testing.assert_array_equal(draws.values, fresh.values)
         assert encoded(draws) == encoded(fresh)
-        # fresh builds m keys per draw; the chain's draws build m for the
-        # first and one per tree an accepted move replaced after that.
-        n_chain_keys = len(keys) - cfg.n_keep * cfg.m
+        # fresh builds m keys per draw, the chain's draws one per tree
+        # object: m for the first and one per accepted move after that.
+        chain_trees = {id(t) for t in kept}
+        assert len({id(t) for t in built}) == len(built)
+        assert len(built) == len(chain_trees) + cfg.n_keep * cfg.m
+        assert chain_trees <= {id(t) for t in built}
         assert (np.diff(draws.ids, axis=0) != 0).any()
-        assert cfg.m <= n_chain_keys < cfg.n_keep * cfg.m
+        assert cfg.m < len(chain_trees) < cfg.n_keep * cfg.m
 
 
 class TestDrawArchive:

@@ -396,7 +396,7 @@ class TestCachedRowsAndSpans:
         node = internals[probe.integers(len(internals))]
         var, cut, _ = _draw_rule(tree, node, tree.usable_vars(node), probe)
         candidate = tree.copy()
-        candidate.var[node], candidate.cut[node] = var, cut
+        _, span_inside = candidate._move_rule(node, var, cut)
         fresh = Tree.decode(candidate.encode(), tree.grid)
         rows, bounds = fresh.partition(X), fresh.node_bounds()
         big_enough = all(rows[i].size >= min_leaf_n for i in fresh.leaf_nodes())
@@ -406,7 +406,7 @@ class TestCachedRowsAndSpans:
         )
         # The span verdict alone: a rule on its ancestor's cut also empties
         # a leaf, so the proposal's verdict cannot tell the two checks apart.
-        assert candidate._refresh(node, candidate._subtree_end(node)) == inside
+        assert span_inside == inside
         assert prop.valid == (big_enough and inside)
         if prop.valid:
             assert prop.tree.encode() == fresh.encode()
@@ -478,3 +478,41 @@ class TestCachedRowsAndSpans:
             if prop.valid:
                 tree = prop.tree
                 self.check(tree, X)
+
+
+class TestStructureKey:
+    """A tree caches its structure key, and every structure edit must clear
+    it: the key of each proposed and each prior tree must equal the key of
+    a tree decoded from its text."""
+
+    @staticmethod
+    def check(tree):
+        assert tree.key == Tree.decode(tree.encode()).key
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        d=st.sampled_from([1, 2]),
+        n_cuts=st.integers(1, 12),
+        steps=st.integers(1, 30),
+    )
+    def test_key_of_every_proposed_and_prior_tree(self, seed, n, d, n_cuts, steps):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, d))
+        grid = CutpointGrid.from_data(X, n_cuts)
+        tree = Tree.root_only(grid, np.zeros(1))
+        for _ in range(steps):
+            proposals = []
+            for propose in (propose_birth, propose_death, propose_rule_change):
+                tree.key  # cached on the parent, which each move copies
+                if propose is propose_death:
+                    proposals.append(propose(tree, X, rng))
+                else:
+                    proposals.append(propose(tree, X, 1, rng))
+            valid = [p for p in proposals if p.valid]
+            for prop in valid:
+                self.check(prop.tree)
+            if valid:
+                tree = valid[rng.integers(len(valid))].tree
+            self.check(sample_tree_from_prior(grid, rng))
