@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trees import as_inputs
+
 
 class TableFormatError(ValueError):
     """Raised when a data table cannot be parsed."""
@@ -39,9 +41,7 @@ class Dataset:
     seed: int = 0
 
     def __post_init__(self):
-        self.inputs = np.atleast_1d(np.asarray(self.inputs, dtype=float))
-        if self.inputs.ndim == 1:
-            self.inputs = self.inputs[:, None]
+        self.inputs = as_inputs(self.inputs)
         self.outputs = np.asarray(self.outputs, dtype=float)
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise ValueError(
@@ -114,9 +114,7 @@ def generate_observations(system, inputs, noise_sd: float, seed: int) -> Dataset
     scalar and a 2-d system takes two.  The same seed always yields an
     identical dataset.
     """
-    inputs = np.atleast_1d(np.asarray(inputs, dtype=float))
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
+    inputs = as_inputs(inputs)
     if inputs.shape[0] == 0:
         raise ValueError("inputs must be nonempty")
     if not 0 <= noise_sd < np.inf:

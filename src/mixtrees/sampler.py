@@ -37,6 +37,7 @@ from .node_model import (
 from .trees import (
     CutpointGrid,
     Tree,
+    as_inputs,
     propose_birth,
     propose_death,
     propose_rule_change,
@@ -131,7 +132,7 @@ class Chain:
     """
 
     def __init__(self, X, y, ps: PredictionSet, cfg: SamplerConfig, rng=None):
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.X = as_inputs(X)
         self.y = np.asarray(y, dtype=float).ravel()
         if self.X.shape[0] != self.y.size:
             raise ValueError("inputs and outputs must align")
@@ -378,8 +379,8 @@ class PosteriorDraws:
         sid = self._index.get(key)
         if sid is None:
             sid = self._index[key] = len(self.skeletons)
-            lists = [list(tree.var), list(tree.cut), list(tree.right), list(tree.depths)]
-            self.skeletons.append(Tree(None, *lists, [None] * len(tree.var)))
+            var = list(tree.var)
+            self.skeletons.append(Tree(None, var, list(tree.cut), [None] * len(var)))
             self.leaf_nodes.append(tree.leaf_nodes())
         return sid
 
@@ -447,14 +448,17 @@ class PosteriorDraws:
         trees reach, summed in tree order.
 
         Each structure routes X once.  The sums run one draw at a time so
-        that no index array larger than X is built.
+        that no index array larger than X is built.  A rule that reads a
+        column X lacks raises ValueError.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        slots = []  # per structure: the leaf position each row reaches
-        for tree, leaves in zip(self.skeletons, self.leaf_nodes):
-            position = np.empty(len(tree.var), dtype=np.intp)
-            position[leaves] = np.arange(len(leaves))
-            slots.append(position.take(tree.leaf_index(X)))
+        X = as_inputs(X)
+        for tree in self.skeletons:
+            if max(tree.var) >= X.shape[1]:
+                raise ValueError(
+                    f"a tree rule reads input column {max(tree.var)}, "
+                    f"but the inputs have only {X.shape[1]}"
+                )
+        slots = [tree.leaf_slots(X) for tree in self.skeletons]
         values = self.values
         out = np.empty((self.n_kept, len(X), values.shape[1]))
         for w, ids, offsets in zip(out, self.ids.tolist(), self.offsets.tolist()):
@@ -567,13 +571,13 @@ def predict_mixed(draws: PosteriorDraws, grid, grid_means) -> MixedSummary:
     the models predict ``grid_means``.
 
     ``grid_means`` must be (len(grid), K), K the length of the draws' leaf
-    vectors, and finite, or ValueError is raised.
+    vectors, and finite, and no tree rule may read a column that ``grid``
+    lacks, or ValueError is raised.  A 1-d ``grid`` is len(grid) points of
+    one input.
     """
     if draws.n_kept < 1:
         raise ValueError("no kept draws")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.ndim == 1:
-        grid = grid[:, None]
+    grid = as_inputs(grid)
     grid_means = np.atleast_2d(np.asarray(grid_means, dtype=float))
     k = draws.values.shape[1]
     if grid_means.shape[1] != k:

@@ -9,10 +9,11 @@ shallow.  The sampler explores structures with paired birth/death
 proposals whose forward and reverse probabilities are recorded for the
 acceptance ratio.
 
-A tree is a set of parallel node lists in pre-order.  It keeps, per node,
-the index range of still-valid cutpoints and the training rows that reach
-the node, so a move updates only the nodes and rows below the node it
-changes instead of re-partitioning the data.
+A tree is its rules and leaf vectors as parallel node lists in pre-order,
+which alone fixes both children of every node.  It keeps, per node, the
+depth, the index range of still-valid cutpoints and the training rows that
+reach the node, all derived by one pre-order walk, so a move re-walks only
+the subtree it changes instead of re-partitioning the data.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ import numpy as np
 
 SPLIT_BASE = 0.95  # P(split) at the root
 SPLIT_POWER = 2.0  # how fast P(split) decays with depth
+
+
+def as_inputs(X) -> np.ndarray:
+    """X as an (n, d) float array; a scalar or 1-d X is n points of one input."""
+    X = np.asarray(X, dtype=float)
+    return X.reshape(-1, 1) if X.ndim < 2 else X
 
 
 def split_probability(depth: int) -> float:
@@ -54,7 +61,7 @@ class CutpointGrid:
         pair of adjacent observed values, so no two rules can isolate an
         interval that contains no data.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_inputs(X)
         cuts = []
         for v in range(X.shape[1]):
             col = X[:, v]
@@ -88,36 +95,33 @@ class Tree:
     """A decision tree over a fixed cutpoint grid with K-vector leaves.
 
     The nodes are stored in pre-order as parallel lists.  Node 0 is the
-    root.  An internal node ``i`` splits on ``x[var[i]] < cut[i]``; pre-order
-    puts its left child at ``i + 1`` and its right child at ``right[i]``.  A
-    leaf has ``var`` and ``right`` equal to -1 and a NaN ``cut``.
-    ``values[i]`` is the K-vector of leaf ``i`` (internal nodes keep a
-    stale one).  With a grid, ``spans[i][v]`` is the half-open index range
-    of ``grid.cuts[v]`` still valid under node ``i``'s ancestors.
+    root.  An internal node ``i`` splits on ``x[var[i]] < cut[i]``; its left
+    child is node ``i + 1``, its right child the node after the left
+    child's subtree.  A leaf has ``var`` -1, a NaN ``cut`` and its K-vector
+    in ``values`` (None on internal nodes).
 
-    :meth:`node_rows` caches the rows of one X that reach each node; the
-    structure moves keep that cache up to date, re-routing only the rows
-    below the node they change.  :attr:`key` is cached too, and every
-    structure edit clears it.
+    With a grid, a tree also keeps each node's depth, its ``spans[i][v]``
+    (the half-open index range of ``grid.cuts[v]`` still valid under its
+    ancestors) and, in :meth:`node_rows`, the rows of one X reaching it.
+    One pre-order walk derives all three, and a structure edit re-walks
+    only the subtree it changes.  :attr:`key` is cached too, and every
+    structure edit clears it.  A tree without a grid only routes and encodes.
     """
 
-    _NODE_LISTS = ("var", "cut", "right", "depths", "values", "spans", "_rows")
+    _NODE_LISTS = ("var", "cut", "depths", "values", "spans", "_rows")
 
-    def __init__(self, grid, var, cut, right, depths, values):
+    def __init__(self, grid, var, cut, values):
         self.grid = grid
-        self.var, self.cut, self.right = var, cut, right
-        self.depths, self.values = depths, values
-        self.spans = None
+        self.var, self.cut, self.values = var, cut, values
+        self.depths = self.spans = self._rows = self._X = self._key = None
         if grid is not None:
-            self.spans = [tuple((0, c.size) for c in grid.cuts)]
-            self.spans += [None] * (len(var) - 1)
-        self._rows = self._X = self._key = None
-        self._refresh(0, len(var))
+            self.depths, self.spans = [0] * len(var), [None] * len(var)
+            self.spans[0] = tuple((0, c.size) for c in grid.cuts)
+            self._refresh(0)
 
     @classmethod
     def root_only(cls, grid: CutpointGrid, value) -> "Tree":
-        value = np.asarray(value, dtype=float)
-        return cls(grid, [-1], [np.nan], [-1], [0], [value])
+        return cls(grid, [-1], [np.nan], [np.asarray(value, dtype=float)])
 
     def copy(self) -> "Tree":
         """A tree with its own node lists (leaf vectors and rows are shared)."""
@@ -176,24 +180,25 @@ class Tree:
     def node_bounds(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Ancestor-implied (lo, hi) value interval per dimension, per node."""
         d = self.grid.dim
-        bounds = [(np.full(d, -np.inf), np.full(d, np.inf))]
-        bounds += [None] * (len(self.var) - 1)
-        for i in self.internal_nodes():
-            lo, hi = bounds[i]
-            v, c = self.var[i], self.cut[i]
-            hi_l, lo_r = hi.copy(), lo.copy()
-            hi_l[v] = min(hi[v], c)
-            lo_r[v] = max(lo[v], c)
-            bounds[i + 1], bounds[self.right[i]] = (lo, hi_l), (lo_r, hi)
+        bounds, pending = [], [(np.full(d, -np.inf), np.full(d, np.inf))]
+        for v, c in zip(self.var, self.cut):
+            lo, hi = pending.pop()  # each node takes what its parent left
+            bounds.append((lo, hi))
+            if v >= 0:
+                hi_l, lo_r = hi.copy(), lo.copy()
+                hi_l[v] = min(hi[v], c)
+                lo_r[v] = max(lo[v], c)
+                pending += [(lo_r, hi), (lo, hi_l)]  # the left child comes first
         return bounds
 
     # ---- data assignment -------------------------------------------------
 
     def partition(self, X: np.ndarray) -> list[np.ndarray]:
         """Ascending row indices of X that reach each node, routed from the root."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_inputs(X)
         rows = [np.arange(X.shape[0])] + [None] * (len(self.var) - 1)
-        return self._route(X, rows, 0, len(self.var))
+        self._walk(0, X, rows, spans=False)
+        return rows
 
     def node_rows(self, X: np.ndarray) -> list[np.ndarray]:
         """Rows of the (n, d) float array X reaching each node, cached for
@@ -202,45 +207,50 @@ class Tree:
             self._rows, self._X = self.partition(X), X
         return self._rows
 
-    def _route(self, X, rows, first, stop):
-        # Pre-order: every parent's rows are set before its children's.
-        for i in range(first, stop):
-            if self.var[i] >= 0:
-                idx = rows[i]
-                mask = X[idx, self.var[i]] < self.cut[i]
-                rows[i + 1], rows[self.right[i]] = idx[mask], idx[~mask]
-        return rows
-
-    def _refresh(self, first, stop) -> bool:
-        """Recompute the spans and cached rows of the children of nodes
-        ``first .. stop - 1``, in pre-order.
-
-        Returns whether the rule of every one of those nodes cuts strictly
-        inside its node's interval: its cut is a cutpoint in the node's span.
+    def _walk(self, first, X, rows, spans) -> tuple[int, bool]:
+        """Walk the subtree at node ``first`` in pre-order, handing each
+        child its facts from its parent's: with X, its rows of X in ``rows``;
+        with ``spans``, its depth and spans.  Returns one past the subtree's
+        last node, and whether every rule in it cuts strictly inside its
+        node's interval: its cut is a cutpoint in the node's span (always
+        True without ``spans``).
         """
-        inside = True
-        if self.spans is not None:
-            for i in range(first, stop):
-                v = self.var[i]
-                if v < 0:
-                    continue
-                cuts, (lo, hi) = self.grid.cut_lists[v], self.spans[i][v]
-                below = bisect_left(cuts, self.cut[i])
-                not_above = bisect_right(cuts, self.cut[i])
-                inside = inside and lo <= below < hi
-                left, right = list(self.spans[i]), list(self.spans[i])
-                left[v], right[v] = (lo, min(hi, below)), (max(lo, not_above), hi)
-                self.spans[i + 1] = tuple(left)
-                self.spans[self.right[i]] = tuple(right)
-        if self._rows is not None:
-            self._route(self._X, self._rows, first, stop)
-        return inside
+        var, cut, depths, node_spans = self.var, self.cut, self.depths, self.spans
+        inside, pending = True, []  # the facts of the right children to come
+        i = first
+        while True:
+            v = var[i]
+            if v < 0:
+                if not pending:
+                    return i + 1, inside
+                child = pending.pop()  # node i + 1 is the nearest right child
+            else:
+                c = cut[i]
+                rows_l = rows_r = depth = span_l = span_r = None
+                if X is not None:
+                    idx = rows[i]
+                    mask = X[idx, v] < c
+                    rows_l, rows_r = idx[mask], idx[~mask]
+                if spans:
+                    cuts, span = self.grid.cut_lists[v], node_spans[i]
+                    lo, hi = span[v]
+                    below, not_above = bisect_left(cuts, c), bisect_right(cuts, c)
+                    inside = inside and lo <= below < hi
+                    depth = depths[i] + 1
+                    span_l = span[:v] + ((lo, min(hi, below)),) + span[v + 1 :]
+                    span_r = span[:v] + ((max(lo, not_above), hi),) + span[v + 1 :]
+                pending.append((rows_r, depth, span_r))
+                child = rows_l, depth, span_l  # node i + 1 is the left child
+            i += 1
+            if X is not None:
+                rows[i] = child[0]
+            if spans:
+                _, depths[i], node_spans[i] = child
 
-    def _subtree_end(self, i: int) -> int:
-        """One past the last node of the subtree rooted at i."""
-        while self.var[i] >= 0:
-            i = self.right[i]
-        return i + 1
+    def _refresh(self, first: int) -> tuple[int, bool]:
+        """Re-derive the depths, spans and cached rows below node ``first``;
+        returns :meth:`_walk`'s subtree end and verdict."""
+        return self._walk(first, self._X, self._rows, spans=True)
 
     def _node_lists(self) -> list[list]:
         lists = (getattr(self, name) for name in self._NODE_LISTS)
@@ -248,14 +258,11 @@ class Tree:
 
     def _split(self, i: int, var: int, cut: float) -> None:
         """Turn leaf i into the rule ``x_var < cut`` over two copies of it."""
-        k = i + 1
-        self.right = [c + 2 if c > i else c for c in self.right]
         for lst in self._node_lists():
-            lst[k:k] = [lst[i], lst[i]]
-        self.depths[k] = self.depths[k + 1] = self.depths[i] + 1
-        self.var[i], self.cut[i], self.right[i] = var, cut, k + 1
+            lst[i + 1 : i + 1] = [lst[i], lst[i]]
+        self.var[i], self.cut[i], self.values[i] = var, cut, None
         self._key = None
-        self._refresh(i, k)
+        self._refresh(i)
 
     def _collapse(self, i: int) -> None:
         """Turn node i, whose children are leaves, into a leaf."""
@@ -263,30 +270,30 @@ class Tree:
         self.values[i] = 0.5 * (self.values[k] + self.values[k + 1])
         for lst in self._node_lists():
             del lst[k : k + 2]
-        self.right = [c - 2 if c > i else c for c in self.right]
-        self.var[i], self.cut[i], self.right[i] = -1, np.nan, -1
+        self.var[i], self.cut[i] = -1, np.nan
         self._key = None
 
     def _move_rule(self, i: int, var: int, cut: float) -> tuple[int, bool]:
         """Give internal node i the rule ``x_var < cut``.  Returns the end of
         its subtree and whether every rule in the subtree still cuts inside
-        its node's interval (:meth:`_refresh`)."""
+        its node's interval (:meth:`_walk`)."""
         self.var[i], self.cut[i] = var, cut
         self._key = None
-        end = self._subtree_end(i)
-        return end, self._refresh(i, end)
+        return self._refresh(i)
 
-    def leaf_index(self, X: np.ndarray) -> np.ndarray:
-        """Node index of the leaf that each row of X reaches."""
+    def leaf_slots(self, X: np.ndarray) -> np.ndarray:
+        """For each row of X, the position in pre-order among the leaves of
+        the leaf it reaches."""
         rows = self.partition(X)
-        node = np.empty(len(rows[0]), dtype=np.intp)
-        for i in self.leaf_nodes():
-            node[rows[i]] = i
-        return node
+        slots = np.empty(len(rows[0]), dtype=np.intp)
+        for slot, i in enumerate(self.leaf_nodes()):
+            slots[rows[i]] = slot
+        return slots
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         """Leaf vector of every row of X, as an (n, K) array."""
-        return np.array(self.values).take(self.leaf_index(X), axis=0)
+        values = np.array([leaf.value for leaf in self.leaves()])
+        return values.take(self.leaf_slots(X), axis=0)
 
     # ---- serialization -----------------------------------------------------
 
@@ -313,27 +320,17 @@ class Tree:
     def decode(
         cls, text: str, grid: Optional[CutpointGrid] = None, k: Optional[int] = None
     ) -> "Tree":
-        """Inverse of :meth:`encode`; without a grid the tree only evaluates.
+        """Inverse of :meth:`encode`; without a grid the tree only routes
+        and encodes.
 
-        Raises ValueError on text it cannot parse, on a non-finite cut or
-        leaf value, and, when ``k`` is given, on a leaf of other than k values.
+        Raises ValueError on text it cannot parse, on a negative rule
+        variable, on a non-finite cut or leaf value, and, when ``k`` is
+        given, on a leaf of other than k values.
         """
         tokens = text.split()
-        var, cut, right, depths, values = [], [], [], [], []
-        waiting = []  # internal nodes whose right child is still to come
-        pos = 0
-        while pos < len(tokens):
-            i = len(var)
-            if i == 0:
-                depth = 0
-            elif var[i - 1] >= 0:  # left child of the internal node before it
-                depth = depths[i - 1] + 1
-            elif waiting:
-                parent = waiting.pop()
-                right[parent] = i
-                depth = depths[parent] + 1
-            else:
-                raise ValueError("trailing tokens in tree encoding")
+        nodes = []  # (var, cut, leaf vector) in pre-order
+        owed, pos = 1, 0  # nodes still to come; a rule owes one more
+        while owed and pos < len(tokens):
             tag = tokens[pos]
             if tag == "L" and pos + 1 < len(tokens):
                 n_values = int(tokens[pos + 1])
@@ -342,33 +339,32 @@ class Tree:
                         f"leaf of {n_values} values near token {pos + 1}, expected {k}"
                     )
                 stop = pos + 2 + n_values
+                if stop > len(tokens):
+                    break
                 leaf = [float(t) for t in tokens[pos + 2 : stop]]
                 if not all(map(math.isfinite, leaf)):
                     raise ValueError(f"non-finite leaf value near token {pos + 1}")
-                values.append(np.array(leaf))
-                var.append(-1)
-                cut.append(np.nan)
+                nodes.append((-1, np.nan, np.array(leaf)))
+                owed -= 1
             elif tag == "I" and pos + 2 < len(tokens):
-                stop = pos + 3
-                values.append(None)
-                var.append(int(tokens[pos + 1]))
-                cut.append(float(tokens[pos + 2]))
-                if not math.isfinite(cut[-1]):
+                stop, v, c = pos + 3, int(tokens[pos + 1]), float(tokens[pos + 2])
+                if v < 0:
+                    raise ValueError(f"negative rule variable near token {pos + 1}: {v}")
+                if not math.isfinite(c):
                     raise ValueError(f"non-finite cut near token {pos + 1}")
-                waiting.append(i)
+                nodes.append((v, c, None))
+                owed += 1
             elif tag in ("L", "I"):
                 break
             else:
                 raise ValueError(f"bad tree encoding near token {pos + 1}: {tag!r}")
-            right.append(-1)
-            depths.append(depth)
             pos = stop
-        if pos != len(tokens) or waiting or not var:
+        if owed:
             raise ValueError("truncated tree encoding")
-        for i in reversed(range(len(var))):
-            if values[i] is None:
-                values[i] = values[i + 1]  # stale, like any internal node's
-        return cls(grid, var, cut, right, depths, values)
+        if pos != len(tokens):
+            raise ValueError("trailing tokens in tree encoding")
+        var, cut, values = map(list, zip(*nodes))
+        return cls(grid, var, cut, values)
 
 
 def _log_rule_prob(tree: Tree, i: int) -> float:

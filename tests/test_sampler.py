@@ -670,8 +670,13 @@ class TestEvaluateWeights:
         def descend(tree, x):
             i = 0
             while tree.var[i] >= 0:
-                go_left = x[tree.var[i]] < tree.cut[i]
-                i = i + 1 if go_left else tree.right[i]
+                if x[tree.var[i]] < tree.cut[i]:
+                    i += 1
+                else:  # past the left subtree: a rule owes one node more
+                    i, owed = i + 1, 1
+                    while owed:
+                        owed += 1 if tree.var[i] >= 0 else -1
+                        i += 1
             return tree.values[i]
 
         trees = []
@@ -748,6 +753,42 @@ class TestPredictMixed:
             predict_mixed(PosteriorDraws(), np.zeros((1, 1)), np.ones((1, 1)))
 
 
+class TestInputShape:
+    def test_vector_is_points_of_one_input(self):
+        # Every function that takes inputs reads a 1-d array as n points of
+        # one input, as Dataset does: the same as its column.
+        data, ps, grid, grid_means = make_problem(k=2)
+        x = data.inputs[:, 0]
+        for method in ("uniform", "midpoints"):
+            by_vector = CutpointGrid.from_data(x, 5, method)
+            by_column = CutpointGrid.from_data(x[:, None], 5, method)
+            assert by_vector.dim == by_column.dim == 1
+            np.testing.assert_array_equal(by_vector.cuts[0], by_column.cuts[0])
+
+        tree = Tree.decode("I 0 0.5 I 0 0.25 L 2 1 2 L 2 3 4 L 2 5 6")
+        for got, want in zip(tree.partition(grid), tree.partition(grid[:, None])):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(tree.leaf_slots(grid), tree.leaf_slots(grid[:, None]))
+        np.testing.assert_array_equal(tree.evaluate(grid), tree.evaluate(grid[:, None]))
+
+        draws = draws_of([[tree], [tree]])
+        np.testing.assert_array_equal(draws.weights(grid), draws.weights(grid[:, None]))
+        by_vector = predict_mixed(draws, grid, grid_means)
+        by_column = predict_mixed(draws, grid[:, None], grid_means)
+        for f in dataclasses.fields(by_vector):
+            np.testing.assert_array_equal(
+                getattr(by_vector, f.name), getattr(by_column, f.name), err_msg=f.name
+            )
+
+        cfg = SamplerConfig(m=2, n_burn=1, n_keep=1, seed=4)
+        chains = [Chain(inputs, data.outputs, ps, cfg) for inputs in (x, x[:, None])]
+        for chain in chains:
+            for _ in range(5):
+                chain.gibbs_sweep()
+        np.testing.assert_array_equal(chains[0].X, chains[1].X)
+        assert [t.encode() for t in chains[0].trees] == [t.encode() for t in chains[1].trees]
+
+
 def structure(tree):
     """The text of a tree with every leaf vector set to (0)."""
     return tree.encode([[0.0]] * tree.n_leaves())
@@ -756,7 +797,7 @@ def structure(tree):
 def with_values(tree, rng):
     """A copy of ``tree`` with fresh normal leaf vectors."""
     new = tree.copy()
-    k = len(tree.values[0])
+    k = len(tree.leaves()[0].value)
     for leaf in new.leaf_nodes():
         new.values[leaf] = rng.normal(size=k)
     return new
@@ -955,6 +996,8 @@ class TestDrawArchive:
             "tree L 0",
             "tree L 3 0.5 0.5 0.5",
             "tree I 0 0.5 L 2 1 1 L 1 0",
+            "tree I 0 0.5 L 2 1 1 L 2 1 2 L 2 1 3",
+            "tree I -1 0.5 I 0 0.3 L 2 1 1 L 2 1 2",
             "# n_models = two",
             "# n_models = 0",
         ],
@@ -986,6 +1029,7 @@ class TestDrawArchive:
             ([], "draw 0: a draw without trees"),
             (["L 2 0.5 0.5", None], "draw 1: a draw without trees"),
             (["L 2 0.5 0.5", None, "L 2 1 1", "L 2 1 1"], "draw 1: a draw of 2 trees, expected 1"),
+            (["I 3 0.5 L 2 1 1 L 2 1 2"], "a tree rule reads input column 3, but the inputs have only 1"),
         ],
     )
     def test_reprediction_checks_draw_shapes(self, tmp_path, trees, error):

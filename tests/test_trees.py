@@ -312,6 +312,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             Tree.decode(text, grid1d)
 
+    @pytest.mark.parametrize(
+        "text", ["I -1 0.5 I 0 0.3 L 1 1 L 1 2", "I -1 0.5 L 1 1 L 1 2"]
+    )
+    def test_negative_rule_variable_rejected(self, text):
+        with pytest.raises(ValueError, match="negative rule variable near token 1: -1"):
+            Tree.decode(text)
+
+    def test_internal_nodes_hold_no_vector(self, grid1d):
+        tree = build_depth2_tree(grid1d)
+        assert [v is None for v in tree.values] == [True, True, False, False, False]
+        tree._split(4, 0, 0.75)
+        assert tree.values[4] is None
+        assert [leaf.value[0] for leaf in tree.leaves()] == [1.0, 2.0, 3.0, 3.0]
+
 
 class TestCutpointGrid:
     def test_interior_points_exclude_range_ends(self):
@@ -327,6 +341,16 @@ class TestCutpointGrid:
         assert grid.dim == 3
 
 
+def subtree_end(tree, i):
+    """One past the last node of the subtree at i, by counting the nodes
+    still owed: a rule owes one more, a leaf one fewer."""
+    owed = 1
+    while owed:
+        owed += 1 if tree.var[i] >= 0 else -1
+        i += 1
+    return i
+
+
 def route_from_scratch(tree, X):
     """Leaf of every row by the recursive mask-and-split routing."""
     leaf_of = np.full(X.shape[0], -1)
@@ -337,7 +361,7 @@ def route_from_scratch(tree, X):
         else:
             mask = X[idx, tree.var[i]] < tree.cut[i]
             rec(i + 1, idx[mask])
-            rec(tree.right[i], idx[~mask])
+            rec(subtree_end(tree, i + 1), idx[~mask])
 
     rec(0, np.arange(X.shape[0]))
     return leaf_of
@@ -357,7 +381,7 @@ def filtered_cuts(tree):
             rec(i + 1, lo.copy(), hi_l)
             lo_r = lo.copy()
             lo_r[v] = max(lo_r[v], cut)
-            rec(tree.right[i], lo_r, hi.copy())
+            rec(subtree_end(tree, i + 1), lo_r, hi.copy())
 
     rec(0, np.full(d, -np.inf), np.full(d, np.inf))
     return out
@@ -414,7 +438,7 @@ class TestCachedRowsAndSpans:
             assert prop.log_prior_ratio == pytest.approx(delta, rel=0, abs=1e-12)
             # Only the subtree's leaves change rows, and they are the sets.
             old_rows, new_rows = tree.node_rows(X), prop.tree.node_rows(X)
-            subtree = range(node, fresh._subtree_end(node))
+            subtree = range(node, subtree_end(fresh, node))
             for leaf in fresh.leaf_nodes():
                 if leaf not in subtree:
                     np.testing.assert_array_equal(new_rows[leaf], old_rows[leaf])
@@ -483,11 +507,21 @@ class TestCachedRowsAndSpans:
 class TestStructureKey:
     """A tree caches its structure key, and every structure edit must clear
     it: the key of each proposed and each prior tree must equal the key of
-    a tree decoded from its text."""
+    a tree decoded from its text, and so must its depths and spans."""
 
     @staticmethod
     def check(tree):
         assert tree.key == Tree.decode(tree.encode()).key
+        # The edits' walks must leave the depths and spans of a fresh tree,
+        # and the depths of a count by hand: each child one below its parent.
+        fresh = Tree.decode(tree.encode(), tree.grid)
+        assert (tree.depths, tree.spans) == (fresh.depths, fresh.spans)
+        depths, pending = [], [0]
+        for v in tree.var:
+            depths.append(pending.pop())
+            if v >= 0:
+                pending += [depths[-1] + 1] * 2
+        assert tree.depths == depths
 
     @settings(max_examples=100, deadline=None)
     @given(
