@@ -47,6 +47,7 @@ BIRTH_PROB = 0.5  # chance that a structure move proposes a birth, not a death
 # log P(reverse kind) - log P(kind), for a birth and for a death
 LOG_KIND_BIRTH = float(np.log1p(-BIRTH_PROB) - np.log(BIRTH_PROB))
 LOG_KIND_DEATH = float(np.log(BIRTH_PROB) - np.log1p(-BIRTH_PROB))
+DRAW_BLOCK = 16  # draws whose weights predict_mixed spreads to the grid at once
 META_KEYS = ("m", "k", "informative", "nu", "n_burn", "n_keep", "thin", "seed")
 
 
@@ -443,14 +444,8 @@ class PosteriorDraws:
             for sid, off in zip(self.ids[s], self.offsets[s])
         ]
 
-    def weights(self, X) -> np.ndarray:
-        """(n_kept, len(X), K) weight vectors: per draw, the leaf vectors its
-        trees reach, summed in tree order.
-
-        Each structure routes X once.  The sums run one draw at a time so
-        that no index array larger than X is built.  A rule that reads a
-        column X lacks raises ValueError.
-        """
+    def _inputs(self, X) -> np.ndarray:
+        """X as (n, d) inputs; ValueError when a rule reads a column X lacks."""
         X = as_inputs(X)
         for tree in self.skeletons:
             if max(tree.var) >= X.shape[1]:
@@ -458,6 +453,18 @@ class PosteriorDraws:
                     f"a tree rule reads input column {max(tree.var)}, "
                     f"but the inputs have only {X.shape[1]}"
                 )
+        return X
+
+    def weights(self, X) -> np.ndarray:
+        """(n_kept, len(X), K) weight vectors: per draw, the leaf vectors its
+        trees reach, summed in tree order.
+
+        Each structure routes X once; :func:`predict_mixed` passes one row
+        per cell of :meth:`cells`.  The sums run one draw at a time so that
+        no index array larger than X is built.  A rule that reads a column X
+        lacks raises ValueError.
+        """
+        X = self._inputs(X)
         slots = [tree.leaf_slots(X) for tree in self.skeletons]
         values = self.values
         out = np.empty((self.n_kept, len(X), values.shape[1]))
@@ -466,6 +473,31 @@ class PosteriorDraws:
             for sid, off in zip(ids[1:], offsets[1:]):
                 w += values[off:].take(slots[sid], axis=0)
         return out
+
+    def cells(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Group the rows of X that lie on the same side of every cut of the
+        skeletons' rules: ``first`` holds the first row of each group (cell)
+        and ``cell[i]`` the cell of row i.
+
+        A row's place among the distinct cuts on column v is the count of
+        those cuts at or below it, so ties go right, as in the trees.  The
+        rows of a cell reach the same leaf of every structure, and so get
+        the same weights in every draw.  A rule that reads a column X lacks
+        raises ValueError.
+        """
+        X = self._inputs(X)
+        key = np.zeros(len(X), dtype=np.intp)
+        for v in range(X.shape[1]):
+            cuts = np.unique([
+                c for tree in self.skeletons for u, c in zip(tree.var, tree.cut) if u == v
+            ])
+            # Mixed radix, renumbered densely after each column so that the
+            # keys stay below len(X) * (len(cuts) + 1).
+            key = key * (len(cuts) + 1) + np.searchsorted(cuts, X[:, v], side="right")
+            if v + 1 < X.shape[1]:
+                key = np.unique(key, return_inverse=True)[1]
+        _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+        return first, cell
 
 
 def fit_bmm(
@@ -570,14 +602,23 @@ def predict_mixed(draws: PosteriorDraws, grid, grid_means) -> MixedSummary:
     weight function, and the sum of weights, at the rows of ``grid``, where
     the models predict ``grid_means``.
 
-    ``grid_means`` must be (len(grid), K), K the length of the draws' leaf
-    vectors, and finite, and no tree rule may read a column that ``grid``
-    lacks, or ValueError is raised.  A 1-d ``grid`` is len(grid) points of
-    one input.
+    Every rule is ``x_v < c``, so the weights are constant on each cell of
+    :meth:`PosteriorDraws.cells`: the weight and weight-sum traces are
+    built and summarised once per cell, then spread to the cell's rows.
+    Only the mixed trace, which also reads ``grid_means``, is per row.
+    Each float is made by the same operations as from the traces of every
+    row, so the result keeps its bits.
+
+    ``grid`` must be finite, ``grid_means`` (len(grid), K), K the length
+    of the draws' leaf vectors, and finite, and no tree rule may read a
+    column that ``grid`` lacks, or ValueError is raised.  A 1-d ``grid`` is
+    len(grid) points of one input.
     """
     if draws.n_kept < 1:
         raise ValueError("no kept draws")
     grid = as_inputs(grid)
+    if not np.isfinite(grid).all():
+        raise ValueError("non-finite grid")
     grid_means = np.atleast_2d(np.asarray(grid_means, dtype=float))
     k = draws.values.shape[1]
     if grid_means.shape[1] != k:
@@ -589,28 +630,32 @@ def predict_mixed(draws: PosteriorDraws, grid, grid_means) -> MixedSummary:
         raise ValueError(f"grid_means has {grid_means.shape[0]} rows, grid {len(grid)}")
     if not np.isfinite(grid_means).all():
         raise ValueError("non-finite grid_means")
-    weights = draws.weights(grid)
-    # Each trace is freed once summarised, and the band of one weight
-    # column at a time sorts a copy of that column only.
+    first, cell = draws.cells(grid)
+    weights = draws.weights(grid[first])
+    if len(first) == 1 < len(grid):
+        # numpy sums the draws of a single column pairwise but of several
+        # columns one draw after another, as over the whole grid: a second
+        # copy of the one cell keeps the grid's order of sums.
+        weights = np.repeat(weights, 2, axis=1)
     q = [0.025, 0.975]
-    weight_band = np.empty((len(q),) + weights.shape[1:])
-    for k in range(weights.shape[2]):
-        weight_band[:, :, k] = np.quantile(weights[:, :, k], q, axis=0)
-    mixed = np.einsum("gk,sgk->sg", grid_means, weights)
+    # A block of draws at a time, so that no (n_kept, len(grid), K) array
+    # is built; einsum gives each element the same bits in any block.
+    mixed = np.empty((draws.n_kept, len(grid)))
+    for s in range(0, draws.n_kept, DRAW_BLOCK):
+        block = weights[s : s + DRAW_BLOCK].take(cell, axis=1)
+        np.einsum("gk,sgk->sg", grid_means, block, out=mixed[s : s + DRAW_BLOCK])
     mixed_stats = mixed.mean(axis=0), *np.quantile(mixed, q, axis=0)
     del mixed
-    weight_mean = weights.mean(axis=0)
     # Column by column, in place: for K < 8 the bits of weights.sum(axis=2),
     # whose reduction over the short, strided last axis is the slower.
     wsum = weights[:, :, 0].copy()
     for k in range(1, weights.shape[2]):
         wsum += weights[:, :, k]
-    del weights
-    return MixedSummary(
-        *mixed_stats,
-        weight_mean, *weight_band,
+    cell_stats = (
+        weights.mean(axis=0), *np.quantile(weights, q, axis=0),
         wsum.mean(axis=0), *np.quantile(wsum, q, axis=0),
     )
+    return MixedSummary(*mixed_stats, *(stat.take(cell, axis=0) for stat in cell_stats))
 
 
 def save_draws(draws: PosteriorDraws, path) -> None:

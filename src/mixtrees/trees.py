@@ -324,8 +324,8 @@ class Tree:
         and encodes.
 
         Raises ValueError on text it cannot parse, on a negative rule
-        variable, on a non-finite cut or leaf value, and, when ``k`` is
-        given, on a leaf of other than k values.
+        variable, on a leaf length below 1, on a non-finite cut or leaf
+        value, and, when ``k`` is given, on a leaf of other than k values.
         """
         tokens = text.split()
         nodes = []  # (var, cut, leaf vector) in pre-order
@@ -334,6 +334,8 @@ class Tree:
             tag = tokens[pos]
             if tag == "L" and pos + 1 < len(tokens):
                 n_values = int(tokens[pos + 1])
+                if n_values < 1:
+                    raise ValueError(f"leaf length below 1 near token {pos + 1}: {n_values}")
                 if k is not None and n_values != k:
                     raise ValueError(
                         f"leaf of {n_values} values near token {pos + 1}, expected {k}"

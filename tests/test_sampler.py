@@ -818,6 +818,25 @@ def random_ensembles(seed, dim, k, n_structures, m, n_draws):
     return ensembles, X
 
 
+def dense_ensembles(seed, dim, k, n_structures, root, m, n_draws, n_rows):
+    """Draws as :func:`random_ensembles` makes them, with a root tree among
+    the structures when ``root`` (so with one structure every tree is a
+    root and the grid one cell), and a grid of ``n_rows`` rows whose
+    coordinates come from the cutpoints and four uniform points, so
+    that rows repeat, sit on cuts and fill each cell many times over."""
+    rng = np.random.default_rng(seed)
+    grid = CutpointGrid([np.linspace(0.1, 0.9, 5) for _ in range(dim)])
+    shapes = [sample_tree_from_prior(grid, rng, k) for _ in range(n_structures)]
+    if root:
+        shapes[0] = Tree.root_only(grid, np.zeros(k))
+    ensembles = [
+        [with_values(shapes[rng.integers(n_structures)], rng) for _ in range(m)]
+        for _ in range(n_draws)
+    ]
+    pool = np.concatenate([grid.cuts[0], rng.uniform(0, 1, 4)])
+    return ensembles, rng.choice(pool, size=(n_rows, dim))
+
+
 class TestDrawTable:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -843,6 +862,58 @@ class TestDrawTable:
                 getattr(got, f.name), getattr(expected, f.name), err_msg=f.name
             )
         assert encoded(draws) == [[t.encode() for t in trees] for trees in ensembles]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        dim=st.sampled_from([1, 2]),
+        k=st.sampled_from([1, 2, 3]),
+        n_structures=st.integers(1, 4),
+        root=st.booleans(),
+        m=st.integers(1, 4),
+        n_draws=st.integers(1, 150),
+        n_rows=st.integers(2, 120),
+    )
+    def test_predict_mixed_on_dense_grid_matches_oracle(
+        self, seed, dim, k, n_structures, root, m, n_draws, n_rows
+    ):
+        # Many rows per cell, repeated rows and rows on a cut: summarising
+        # once per cell must give the bits of summarising every row, and
+        # the mixed trace, built in blocks of draws, those of one einsum.
+        ensembles, X = dense_ensembles(
+            seed, dim, k, n_structures, root, m, n_draws, n_rows
+        )
+        grid_means = np.random.default_rng(seed + 1).normal(size=(len(X), k))
+        got = predict_mixed(draws_of(ensembles), X, grid_means)
+        expected = oracle_summary(ensembles, X, grid_means)
+        for f in dataclasses.fields(expected):
+            np.testing.assert_array_equal(
+                getattr(got, f.name), getattr(expected, f.name), err_msg=f.name
+            )
+
+    def test_predict_mixed_routes_one_row_per_cell(self, monkeypatch):
+        # In 1-d the distinct cuts split the line into at most one cell more
+        # than there are cuts, and each structure routes one row per cell.
+        ensembles, X = dense_ensembles(5, 1, 2, 4, False, 3, 10, 400)
+        draws = draws_of(ensembles)
+        cuts = {c for t in draws.skeletons for v, c in zip(t.var, t.cut) if v >= 0}
+        assert len(cuts) > 1
+        routed, leaf_slots = [], Tree.leaf_slots
+
+        def counted(tree, rows):
+            routed.append(len(rows))
+            return leaf_slots(tree, rows)
+
+        monkeypatch.setattr(Tree, "leaf_slots", counted)
+        predict_mixed(draws, X, np.ones((len(X), 2)))
+        assert len(routed) == len(draws.skeletons)
+        assert max(routed) <= len(cuts) + 1 < len(X)
+        first, cell = draws.cells(X)
+        assert routed == [len(first)] * len(draws.skeletons)
+        np.testing.assert_array_equal(cell[first], np.arange(len(first)))
+        wide = draws_of(ensembles + [[Tree.decode("I 1 0.5 L 2 1 1 L 2 1 2")] * 3])
+        with pytest.raises(ValueError, match="reads input column 1"):
+            predict_mixed(wide, X, np.ones((len(X), 2)))
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_concat_reinterns_structures(self, shared):
@@ -1022,7 +1093,7 @@ class TestDrawArchive:
         "trees, error",
         [
             (["L 1 0.5"], "leaf vectors of 1 values, expected 2"),
-            (["L 0"], "leaf vectors of 0 values, expected 2"),
+            (["L 0"], "leaf length below 1"),
             (["L 3 0.5 0.5 0.5"], "leaf vectors of 3 values, expected 2"),
             (["L 2 0.5 0.5", "L 1 0.5"], "draw 0: leaf vectors of different lengths"),
             (["L 2 0.5 0.5", None, "L 1 0.5"], "draw 1: leaf vectors of different lengths"),
@@ -1037,16 +1108,15 @@ class TestDrawArchive:
         # re-prediction against two models rejects it instead of
         # broadcasting one weight over both.  Draws must also hold the same
         # number of trees, or the first draw's would be broadcast over the
-        # next's.  None starts a new draw.
+        # next's.  A leaf of no values never loads.  None starts a new draw.
         lines = ["draw 0 sigma2 0.5"]
         for tree in trees:
             lines.append("draw 1 sigma2 0.5" if tree is None else f"tree {tree}")
         path = tmp_path / "draws.txt"
         path.write_text("\n".join(lines) + "\n")
-        ensembles = load_draws(path)
         grid, grid_means = np.array([0.5]), np.ones((1, 2))
         with pytest.raises(ValueError, match=error):
-            predict_from_archive(ensembles, grid, grid_means)
+            predict_from_archive(load_draws(path), grid, grid_means)
 
     def test_archive_supports_new_grid(self, tmp_path):
         data, ps, _, _ = make_problem()
@@ -1102,6 +1172,16 @@ class TestValidation:
             predict_mixed(draws, grid, bad)
         with pytest.raises(ValueError, match=error):
             predict_from_archive(load_draws(path), grid, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # A NaN would take the right-hand leaf of every rule.
+        tree = Tree.decode("I 0 0.5 L 1 1 L 1 2")
+        grid, grid_means = np.array([0.2, bad, 0.9]), np.ones((3, 1))
+        with pytest.raises(ValueError, match="non-finite grid$"):
+            predict_mixed(draws_of([[tree]]), grid, grid_means)
+        with pytest.raises(ValueError, match="non-finite grid$"):
+            predict_from_archive([(1.0, [tree])], grid, grid_means)
 
     def test_concat_pools_chains(self):
         data, ps, _, _ = make_problem()

@@ -319,6 +319,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="negative rule variable near token 1: -1"):
             Tree.decode(text)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("L -2 1 2", "near token 1: -2"),
+            ("I 0 0.5 L -2 L 1 1 L 1 2", "near token 4: -2"),
+            ("L -3 L 1 2 1", "near token 1: -3"),
+            ("L 0", "near token 1: 0"),
+        ],
+    )
+    def test_leaf_length_below_one_rejected(self, text, error):
+        with pytest.raises(ValueError, match=f"leaf length below 1 {error}$"):
+            Tree.decode(text)
+        with pytest.raises(ValueError, match=f"leaf length below 1 {error}$"):
+            Tree.decode(text, k=1)
+
     def test_internal_nodes_hold_no_vector(self, grid1d):
         tree = build_depth2_tree(grid1d)
         assert [v is None for v in tree.values] == [True, True, False, False, False]
