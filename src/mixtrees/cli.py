@@ -83,6 +83,23 @@ SAMPLER_KEYS = {
     "min_leaf_n": ("min_leaf_n", int),
 }
 
+# Section -> the keys the code reads from it; every [model.NAME] shares one set.
+SECTION_KEYS = {
+    "experiment": {"name"},
+    "dataset": {
+        "file", "system", "seed", "noise_sd", "grid_lo", "grid_hi", "grid_n",
+        "n", "x1_lo", "x1_hi", "x2_lo", "x2_hi",
+    },
+    "model.*": {
+        "kind", "order", "scale", "sin_center", "sin_order", "cos_center",
+        "cos_order", "truncation", "q_map", "yref_map", "design_lo",
+        "design_hi", "n_design",
+    },
+    "sampler": set(SAMPLER_KEYS) | {"chains"},
+    "evaluation": {"grid_n", "mesh_per_dim"},
+    "output": {"dir"},
+}
+
 
 # --------------------------------------------------------------------------
 # configuration
@@ -107,6 +124,14 @@ class ExperimentConfig:
             raise ConfigError("missing [experiment] name")
         self.name = parser["experiment"]["name"]
         self.model_sections = [s for s in parser.sections() if s.startswith("model.")]
+        defaults = set(parser.defaults())  # [DEFAULT]'s keys show in every section
+        for section in parser.sections():
+            known = SECTION_KEYS.get("model.*" if section in self.model_sections else section)
+            if known is None:
+                raise ConfigError(f"unknown section [{section}]")
+            unknown = sorted(set(parser[section]) - defaults - known)
+            if unknown:
+                raise ConfigError(f"unknown [{section}] keys: {', '.join(unknown)}")
 
     def _get(self, section, key, cast, default=None):
         if section not in self.parser or key not in self.parser[section]:
@@ -277,7 +302,18 @@ class ExperimentConfig:
     ):
         """Model names, the sampler's ``PredictionSet`` (carrying the
         training-point variances when ``scfg`` uses the informative prior)
-        and the models' (len(grid), K) means on the grid."""
+        and the models' (len(grid), K) means on the grid.  With the
+        informative prior, a model with ``truncation = none`` is a
+        ConfigError, raised before any model is evaluated."""
+        if scfg.informative:
+            # The informative prior weighs the models by their truncation
+            # variances, which truncation = none sets to zero.
+            for section in self.model_sections:
+                if self.build_model(section)[3] is None:
+                    raise ConfigError(
+                        f"informative = true needs each model's truncation "
+                        f"variance, but [{section}] has truncation = none"
+                    )
         names, train_mean, train_var, grid_mean, _, _ = self.model_predictions(data, grid)
         ps = sampler.PredictionSet(
             means=train_mean, variances=train_var if scfg.informative else None
@@ -288,10 +324,6 @@ class ExperimentConfig:
 
     def sampler_config(self, seed_override=None) -> sampler.SamplerConfig:
         section = self.parser["sampler"] if "sampler" in self.parser else {}
-        own = set(section) - set(self.parser.defaults())  # not [DEFAULT]'s keys
-        unknown = sorted(own - set(SAMPLER_KEYS) - {"chains"})
-        if unknown:
-            raise ConfigError(f"unknown [sampler] keys: {', '.join(unknown)}")
         settings = {
             name: self._get("sampler", key, parse)
             for key, (name, parse) in SAMPLER_KEYS.items()

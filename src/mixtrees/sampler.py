@@ -97,6 +97,8 @@ class SamplerConfig:
             raise ValueError("min_leaf_n must be at least 1")
         if self.n_keep < 1 or self.thin < 1 or self.n_burn < 0:
             raise ValueError("bad iteration counts")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if not (0 < self.k < np.inf and 0 < self.nu < np.inf):
             raise ValueError("k and nu must be positive and finite")
         if self.lam is not None and not 0 < self.lam < np.inf:
@@ -308,8 +310,7 @@ class Chain:
                 # it rewrites every leaf and every row of fits[j].  Its
                 # normals are still drawn, so the generator stands where
                 # that redraw would leave it and the draws keep their bytes.
-                n_leaves = len(self.trees[j].leaf_nodes())
-                self.rng.standard_normal((n_leaves, self.n_models))
+                self.rng.standard_normal((self.trees[j].n_leaves(), self.n_models))
                 self._relocate(j, resid)
             self._redraw_leaves(j, resid)
         if not hold_sigma2:
@@ -335,22 +336,21 @@ class PosteriorDraws:
     distinct tree structure held once.
 
     A structure (:attr:`Tree.key`) is interned as a skeleton
-    :class:`Tree` without leaf values, with its leaf nodes in pre-order.
-    Kept draw s holds ``sigma2_trace[s]``, one row of m structure ids
-    (``ids[s]``) and m offsets (``offsets[s]``): the leaf vectors of its
-    tree j are the rows ``offsets[s, j]`` onwards of the (total leaves, K)
-    array ``values``, in pre-order.  :meth:`append` copies the leaf vectors,
-    so the chain's later moves leave the kept draws alone.
+    :class:`Tree` without leaf values.  Kept draw s holds ``sigma2_trace[s]``
+    and one row of m structure ids (``ids[s]``).  The (total leaves, K)
+    array ``values`` holds the leaf vectors draw after draw and tree after
+    tree, each tree's in pre-order, so the ids and the skeletons' leaf
+    counts fix where each tree's vectors start (:attr:`offsets`).
+    :meth:`append` copies the leaf vectors, so the chain's later moves
+    leave the kept draws alone.
     """
 
     def __init__(self):
         self.skeletons: list[Tree] = []
-        self.leaf_nodes: list[list[int]] = []
         self._index = {}
         self.n_kept = self.n_leaves = 0
         self._sigma2 = np.empty(0)
         self._ids = np.empty((0, 0), dtype=np.intp)
-        self._offsets = np.empty((0, 0), dtype=np.intp)
         self._values = np.empty((0, 0))
         self.n_proposals = self.n_accepted = 0
         self.meta: dict = {}
@@ -365,7 +365,12 @@ class PosteriorDraws:
 
     @property
     def offsets(self) -> np.ndarray:
-        return self._offsets[: self.n_kept]
+        """(n_kept, m) row of ``values`` where each tree's leaf vectors
+        start: the exclusive cumulative sum of the leaf counts at ``ids``,
+        in (draw, tree) order."""
+        counts = np.array([t.n_leaves() for t in self.skeletons], dtype=np.intp)
+        counts = counts[self.ids]
+        return np.cumsum(counts).reshape(counts.shape) - counts
 
     @property
     def values(self) -> np.ndarray:
@@ -382,13 +387,11 @@ class PosteriorDraws:
             sid = self._index[key] = len(self.skeletons)
             var = list(tree.var)
             self.skeletons.append(Tree(None, var, list(tree.cut), [None] * len(var)))
-            self.leaf_nodes.append(tree.leaf_nodes())
         return sid
 
-    def _add(self, sigma2, ids, offsets, values) -> None:
+    def _add(self, sigma2, ids, values) -> None:
         self._sigma2 = _extend(self._sigma2, self.n_kept, sigma2)
         self._ids = _extend(self._ids, self.n_kept, ids)
-        self._offsets = _extend(self._offsets, self.n_kept, offsets)
         self._values = _extend(self._values, self.n_leaves, values)
         self.n_kept += len(ids)
         self.n_leaves += len(values)
@@ -407,10 +410,7 @@ class PosteriorDraws:
         if self.n_kept and len(trees) != self._ids.shape[1]:
             raise ValueError(f"a draw of {len(trees)} trees, expected {self._ids.shape[1]}")
         ids = [self._intern(tree) for tree in trees]
-        offsets, values = [], []
-        for tree, sid in zip(trees, ids):
-            offsets.append(self.n_leaves + len(values))
-            values += [tree.values[i] for i in self.leaf_nodes[sid]]
+        values = [tree.values[i] for tree in trees for i in tree.leaf_nodes()]
         try:
             values = np.array(values, dtype=float)
             same = not self.n_leaves or values.shape[1:] == self._values.shape[1:]
@@ -418,7 +418,7 @@ class PosteriorDraws:
             same = False
         if not same:
             raise ValueError("leaf vectors of different lengths")
-        self._add([sigma2], [ids], [offsets], values)
+        self._add([sigma2], [ids], values)
 
     @classmethod
     def concat(cls, parts: list["PosteriorDraws"]) -> "PosteriorDraws":
@@ -428,21 +428,20 @@ class PosteriorDraws:
         out = cls()
         for part in parts:
             new_ids = np.array([out._intern(t) for t in part.skeletons], dtype=np.intp)
-            out._add(
-                part.sigma2_trace, new_ids[part.ids],
-                part.offsets + out.n_leaves, part.values,
-            )
+            out._add(part.sigma2_trace, new_ids[part.ids], part.values)
         out.n_proposals = sum(p.n_proposals for p in parts)
         out.n_accepted = sum(p.n_accepted for p in parts)
         out.meta = dict(parts[0].meta, chains=len(parts))
         return out
 
-    def encoded(self, s: int) -> list[str]:
-        """The text of each tree of draw s, as :meth:`Tree.encode` writes it."""
-        return [
-            self.skeletons[sid].encode(self.values[off : off + len(self.leaf_nodes[sid])])
-            for sid, off in zip(self.ids[s], self.offsets[s])
-        ]
+    def encoded(self):
+        """Yield each draw's tree texts, as :meth:`Tree.encode` writes them,
+        one draw at a time."""
+        # The encodes read ``values`` in its own order, draw after draw and
+        # tree after tree, so they share one iterator and need no offsets.
+        leaves = iter(self.values)
+        for ids in self.ids.tolist():
+            yield [self.skeletons[sid].encode(leaves) for sid in ids]
 
     def _inputs(self, X) -> np.ndarray:
         """X as (n, d) inputs; ValueError when a rule reads a column X lacks."""
@@ -663,9 +662,9 @@ def save_draws(draws: PosteriorDraws, path) -> None:
     with open(path, "w") as fh:
         for key, val in sorted(draws.meta.items()):
             fh.write(f"# {key} = {val}\n")
-        for i in range(draws.n_kept):
-            fh.write(f"draw {i} sigma2 {draws.sigma2_trace[i]:.17g}\n")
-            for text in draws.encoded(i):
+        for i, (sigma2, texts) in enumerate(zip(draws.sigma2_trace, draws.encoded())):
+            fh.write(f"draw {i} sigma2 {sigma2:.17g}\n")
+            for text in texts:
                 fh.write(f"tree {text}\n")
 
 

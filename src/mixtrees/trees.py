@@ -301,7 +301,8 @@ class Tree:
         """Deterministic pre-order text encoding of the tree.
 
         ``leaf_values``, when given, are the leaf vectors in pre-order and
-        stand in for ``values``.
+        stand in for ``values``; one is taken per leaf, so consecutive
+        trees can read theirs from one iterator.
         """
         if leaf_values is None:
             leaf_values = [self.values[i] for i in self.leaf_nodes()]

@@ -1,6 +1,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import multiprocessing
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixtrees import eft
 from mixtrees.cli import SAMPLER_KEYS, ExperimentConfig, main, read_csv
 from mixtrees.dataset import read_table
 from mixtrees.sampler import Chain, SamplerConfig, load_draws, predict_from_archive
@@ -549,6 +551,8 @@ class TestConfigErrors:
             ("k", "inf", []),
             ("nu", "inf", []),
             ("lambda", "inf", []),
+            ("seed", "-3", []),
+            ("seed", "5", ["--seed", "-1"]),
         ],
     )
     def test_bad_sampler_value(self, tmp_path, capsys, key, value, args):
@@ -558,6 +562,49 @@ class TestConfigErrors:
         assert main(["mix", "--config", str(cfg), "--out", str(out)] + args) == 2
         assert "error" in capsys.readouterr().err
         assert not (out / "mini" / "mix_grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, text",
+        [
+            ("[experiment]", with_setting("title", "mini", "experiment")),
+            ("[dataset]", with_setting("sede", "3", "dataset")),
+            ("[model.strong4]", with_setting("scael", "inv_sqrt_x", "model.strong4")),
+            ("[evaluation]", with_setting("grid_nn", "50", "evaluation")),
+            ("[output]", MINI_CONFIG + "\n[output]\ndirectory = runs\n"),
+            ("section [sampel]", MINI_CONFIG.replace("[sampler]", "[sampel]")),
+        ],
+        ids=["experiment", "dataset", "model", "evaluation", "output", "section"],
+    )
+    def test_unknown_key_or_section(self, tmp_path, capsys, section, text):
+        # A misspelt key or section would be silently ignored; it exits 2
+        # naming both before any set-up, so no run directory is made.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "runs"
+        assert main(["mix", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and section in err
+        assert not out.exists()
+
+    def test_informative_needs_truncation_variances(self, tmp_path, capsys, monkeypatch):
+        # A surface with truncation = none has zero variance, which the
+        # informative prior cannot weigh: mix exits 2 naming the model
+        # before any model is evaluated; fit-eft and bma do not read it.
+        cfg = tmp_path / "informative.cfg"
+        cfg.write_text(MINI_2D.replace("[sampler]\n", "[sampler]\ninformative = true\n"))
+        out = tmp_path / "runs"
+        for command in ("fit-eft", "bma"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+        def evaluated(*args):
+            raise AssertionError("a model was evaluated")
+
+        monkeypatch.setattr(eft, "predict_exact", evaluated)
+        capsys.readouterr()
+        assert main(["mix", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: informative = true") and "[model.h1]" in err
+        assert not (out / "mini2d" / "mix_grid.csv").exists()
 
     @pytest.mark.parametrize("command", ["fit-eft", "bma"])
     def test_seed_flag_only_where_read(self, mini_cfg, tmp_path, capsys, command):
@@ -761,7 +808,35 @@ class TestSamplerKeys:
             assert parse(default) == getattr(defaults, name), key
 
 
+def shipped_configs():
+    """The INI text of every configs/*.cfg and of every benchmark workload's
+    config at two seeds, each as a param with its name as id."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = sorted((ROOT / "configs").glob("*.cfg"))
+    return [pytest.param(p.read_text(), id=p.name) for p in configs] + [
+        pytest.param(workloads.config_text(name, seed), id=f"{name}-{seed}")
+        for name in workloads.WORKLOADS
+        for seed in (0, 1)
+    ]
+
+
 class TestBenchmarkHooks:
+    @pytest.mark.parametrize("text", shipped_configs())
+    def test_shipped_configs_pass_the_key_check(self, tmp_path, text):
+        # Every shipped and benchmark config names only known sections and
+        # keys, and builds its sampler settings and models; no model runs.
+        path = tmp_path / "shipped.cfg"
+        path.write_text(text)
+        cfg = ExperimentConfig(path)
+        cfg.sampler_config()
+        assert cfg.model_sections
+        for section in cfg.model_sections:
+            cfg.build_model(section)
+
     def test_traced_mix_reports_layer_counts(self, mini_cfg, tmp_path):
         # perfbench/trace_child.py patches sampler and tree internals by name;
         # a renamed or reshaped one breaks the traced benchmark run.

@@ -59,7 +59,7 @@ def make_problem(n=12, k=2, seed=0, n_grid=15):
 
 
 def encoded(draws):
-    return [draws.encoded(s) for s in range(draws.n_kept)]
+    return list(draws.encoded())
 
 
 def draws_of(ensembles):
@@ -942,6 +942,13 @@ class TestDrawTable:
         assert encoded(pooled) == [
             [t.encode() for t in trees] for trees in both
         ]
+        # Each tree's leaf vectors start at its offset, in pre-order.
+        offsets = pooled.offsets
+        for s, trees in enumerate(both):
+            for j, t in enumerate(trees):
+                leaves = [t.values[i] for i in t.leaf_nodes()]
+                got = pooled.values[offsets[s, j] :][: len(leaves)]
+                np.testing.assert_array_equal(got, leaves)
         structures = {structure(t) for trees in both for t in trees}
         assert len(pooled.skeletons) == len(structures)
         own = {structure(t) for trees in a for t in trees}
@@ -949,6 +956,17 @@ class TestDrawTable:
             assert structures == own
         else:
             assert len(structures) > len(own)
+
+    def test_leaf_without_vector_rejected(self):
+        # append gathers each tree's vectors at its leaves, so a leaf
+        # without one fails the draw instead of shifting every later
+        # tree's vectors.
+        tree = Tree.decode("I 0 0.5 L 2 1 1 L 2 1 2")
+        tree.values[2] = None
+        draws = PosteriorDraws()
+        with pytest.raises(ValueError, match="different lengths"):
+            draws.append(1.0, [tree])
+        assert draws.n_kept == draws.n_leaves == 0
 
     def test_fit_holds_one_tree_per_structure(self):
         # The kept draws hold one skeleton Tree per distinct structure, not
